@@ -5,17 +5,27 @@ creation order). Elevator boarding conflicts branch on the paired busy
 intervals when elevator constraints are enabled, which resolves each such
 conflict in one split; door-occupancy conflicts branch on (occupier off the
 door) versus (rider defers boardings whose window covers the presence).
+
+Work that cannot change between CT nodes is done once per solve: each
+agent's unconstrained heuristic is built once and shared by every replan
+and MDD-E of that agent. A child replans one agent, so it keeps its
+parent's conflicts that do not involve that agent and rescans only that
+agent against the others. Invariant: every CT node's conflict list equals
+`enumerate_conflicts` over its paths, in `_conflict_key` order, which is a
+total order on a plan's conflicts. `validate` keeps the full scan and
+certifies every returned plan.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from dataclasses import dataclass, field
 
 from . import mdd as mdd_mod
 from .elevator import ElevatorConflict, detect_elevator_conflicts, ec_constraints, occupancy_constraints
 from .model import Instance, MultiFloorGraph, Vertex
-from .sipp import ConstraintSet, Path, plan
+from .sipp import ConstraintSet, Path, cost_to_go, plan
 
 _KIND_RANK = {"vertex": 0, "edge": 1, "boarding": 2, "occupancy": 3}
 
@@ -24,7 +34,7 @@ class PathStructureError(ValueError):
     """A plan is malformed (disconnected steps, bad timing, double ride)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexConflict:
     i: int
     j: int
@@ -37,7 +47,7 @@ class VertexConflict:
         return self.t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeConflict:
     """Agents swap one edge: i moves u->w and j moves w->u over [t, t+1]."""
 
@@ -57,6 +67,8 @@ Conflict = VertexConflict | EdgeConflict | ElevatorConflict
 
 
 def _conflict_key(c: Conflict) -> tuple:
+    """Sort key that tells apart any two conflicts of one plan (each agent
+    stands on one vertex at a time and takes at most one ride)."""
     extra: tuple
     if c.kind == "vertex":
         extra = (c.v,)
@@ -75,7 +87,6 @@ class SolverConfig:
     mdde_enabled: bool = True
     time_limit: float = 60.0
     mdd_node_cap: int = 200_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.time_limit <= 0:
@@ -107,7 +118,7 @@ class SolveResult:
     stats: SolveStats
 
 
-@dataclass
+@dataclass(slots=True)
 class CTNode:
     paths: list[Path]
     g: int
@@ -120,33 +131,39 @@ class CTNode:
         return len(self.conflicts)
 
 
-def _position(path: Path, timed: dict[int, Vertex], t: int) -> Vertex | None:
-    if t >= path.cost:
-        return path.end
-    return timed.get(t)
+def _timeline(path: Path, horizon: int) -> list[Vertex | None]:
+    """Vertex occupied at each time 0..horizon: None while inside a shaft,
+    the goal once the path has ended (finished agents park there)."""
+    where: list[Vertex | None] = [None] * (horizon + 1)
+    for v, t in path.steps:
+        where[t] = v
+    where[path.cost:] = [path.end] * (horizon + 1 - path.cost)
+    return where
 
 
-def enumerate_conflicts(paths: list[Path], graph: MultiFloorGraph) -> list[Conflict]:
+def enumerate_conflicts(paths: list[Path], graph: MultiFloorGraph,
+                        agent: int | None = None) -> list[Conflict]:
     """Every vertex, edge, and elevator conflict of the joint plan, with
-    finished agents parked at their goals, ordered deterministically."""
-    out: list[Conflict] = list(detect_elevator_conflicts(paths, graph))
+    finished agents parked at their goals, in `_conflict_key` order. With
+    `agent` given, only the conflicts that involve that agent."""
+    out: list[Conflict] = list(detect_elevator_conflicts(paths, graph, agent))
     if len(paths) >= 2:
         horizon = max(p.cost for p in paths)
-        timed = [p.timed_map() for p in paths]
-        for i in range(len(paths)):
-            for j in range(i + 1, len(paths)):
-                for t in range(horizon + 1):
-                    vi = _position(paths[i], timed[i], t)
-                    vj = _position(paths[j], timed[j], t)
-                    if vi is not None and vi == vj:
-                        out.append(VertexConflict(i, j, vi, t))
-                    if t == horizon:
-                        continue
-                    wi = _position(paths[i], timed[i], t + 1)
-                    wj = _position(paths[j], timed[j], t + 1)
-                    if None in (vi, vj, wi, wj) or vi == wi or vj == wj:
-                        continue
-                    if vi.floor == wi.floor and vi == wj and wi == vj:
+        where = [_timeline(p, horizon) for p in paths]
+        if agent is None:
+            pairs = itertools.combinations(range(len(paths)), 2)
+        else:
+            pairs = ((min(agent, j), max(agent, j)) for j in range(len(paths)) if j != agent)
+        for i, j in pairs:
+            at_i, at_j = where[i], where[j]
+            for t in range(horizon + 1):
+                vi, vj = at_i[t], at_j[t]
+                if vi == vj and vi is not None:
+                    out.append(VertexConflict(i, j, vi, t))
+                elif t < horizon:
+                    wi, wj = at_i[t + 1], at_j[t + 1]
+                    if (vi == wj and wi == vj and vi is not None and wi is not None
+                            and vi != wi and vi.floor == wi.floor):
                         out.append(EdgeConflict(i, j, vi, wi, t))
     out.sort(key=_conflict_key)
     return out
@@ -204,10 +221,11 @@ class _Solver:
         self.stats = SolveStats()
         self.seq = 0
         self.mdde_time = 0.0
-        self.t0 = 0.0
+        self.t0 = time.perf_counter()  # the solve's clock includes the heuristics
+        self.heuristics = [cost_to_go(agent, self.graph) for agent in self.agents]
+        self.steps: dict[tuple[Vertex, int], tuple[Vertex, int]] = {}
 
     def run(self) -> SolveResult:
-        self.t0 = time.perf_counter()
         root = self._make_root()
         if root is None:
             return self._finish("infeasible", None)
@@ -220,7 +238,7 @@ class _Solver:
             self.stats.expanded += 1
             conflict, joint, cardinality = self._find_conflict(node)
             if conflict is None:
-                assert not validate(self.instance, node.paths)
+                self._certify(node)
                 return self._finish("solved", node)
             if self.config.mdde_enabled and cardinality != mdd_mod.CARDINAL:
                 if self._try_bypass(node, conflict, joint):
@@ -243,16 +261,42 @@ class _Solver:
             solution = Solution(tuple(node.paths), node.g, self.stats)
         return SolveResult(status, solution, self.stats)
 
+    def _certify(self, node: CTNode) -> None:
+        """Full re-check of a goal node's plan; it backs the incremental
+        conflict lists, so it must not be an assert that `-O` drops."""
+        found = validate(self.instance, node.paths)
+        if found:
+            raise RuntimeError(f"goal node {node.seq} has {len(found)} unlisted conflicts, "
+                               f"first {found[0]}")
+
     def _next_seq(self) -> int:
         self.seq += 1
         return self.seq
 
+    def _plan(self, agent_id: int, omega: ConstraintSet) -> Path | None:
+        path = plan(self.agents[agent_id], self.graph, omega, self.heuristics[agent_id])
+        return None if path is None else self._intern(path)
+
+    def _intern(self, path: Path) -> Path:
+        """The path with every (vertex, t) step shared with equal steps of
+        earlier paths of this solve, so CT nodes hold little of their own."""
+        steps = self.steps
+        return Path(tuple([steps.setdefault(s, s) for s in path.steps]))
+
+    def _rescan(self, node: CTNode, agent_id: int, paths: list[Path]) -> list[Conflict]:
+        """Conflicts of `paths`, which differ from node's only in agent_id's
+        path: the node's conflicts without that agent, plus a rescan of it."""
+        conflicts = [c for c in node.conflicts if c.i != agent_id and c.j != agent_id]
+        conflicts += enumerate_conflicts(paths, self.graph, agent_id)
+        conflicts.sort(key=_conflict_key)
+        return conflicts
+
     def _make_root(self) -> CTNode | None:
         paths: list[Path] = []
         omegas: list[ConstraintSet] = []
-        for agent in self.agents:
+        for agent_id in range(len(self.agents)):
             omega = ConstraintSet()
-            path = plan(agent, self.graph, omega)
+            path = self._plan(agent_id, omega)
             if path is None:
                 return None
             paths.append(path)
@@ -276,7 +320,8 @@ class _Solver:
         ranks = {mdd_mod.CARDINAL: 0, mdd_mod.SEMI_CARDINAL: 1, mdd_mod.NON_CARDINAL: 2}
         for c in node.conflicts:
             label, joint = mdd_mod.classify(node, c, self.graph, self.agents,
-                                            self.config.mdd_node_cap, joint_cache)
+                                            self.config.mdd_node_cap, joint_cache,
+                                            self.heuristics)
             rank = ranks[label]
             if best is None or rank < best[0]:
                 best = (rank, c, joint)
@@ -291,14 +336,14 @@ class _Solver:
         node's conflict count; strict decrease keeps the loop finite."""
         t_start = time.perf_counter()
         found = mdd_mod.find_bypass(node, conflict, self.graph, self.agents,
-                                    joint, self.config.mdd_node_cap)
+                                    joint, self.config.mdd_node_cap, self.heuristics)
         self.mdde_time += time.perf_counter() - t_start
         if found is None:
             return False
         agent_id, new_path = found
         candidate = list(node.paths)
-        candidate[agent_id] = new_path
-        conflicts = enumerate_conflicts(candidate, self.graph)
+        candidate[agent_id] = self._intern(new_path)
+        conflicts = self._rescan(node, agent_id, candidate)
         if len(conflicts) >= node.conflict_count:
             return False
         node.paths = candidate
@@ -330,16 +375,15 @@ class _Solver:
 
         children = []
         for agent_id, omega in splits:
-            path = plan(self.agents[agent_id], self.graph, omega)
+            path = self._plan(agent_id, omega)
             if path is None:
                 continue
             paths = list(node.paths)
             paths[agent_id] = path
             omegas = list(node.omegas)
             omegas[agent_id] = omega
-            conflicts = enumerate_conflicts(paths, self.graph)
             children.append(CTNode(paths, sum(p.cost for p in paths), omegas,
-                                   conflicts, self._next_seq()))
+                                   self._rescan(node, agent_id, paths), self._next_seq()))
         return children
 
 

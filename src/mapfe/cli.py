@@ -86,6 +86,7 @@ def format_plan(paths) -> str:
         lines.append(f"agent {i}: {steps}")
     return "\n".join(lines) + ("\n" if lines else "")
 
+_HEAD_RE = re.compile(r"agent\s+([0-9]+)")
 _STEP_RE = re.compile(r"\((\d+),(\d+),(\d+)\)@(\d+)")
 
 
@@ -96,9 +97,12 @@ def parse_plan(text: str, instance: Instance) -> list[Path]:
         if not line:
             continue
         head, _, rest = line.partition(":")
-        if not head.startswith("agent"):
+        match = _HEAD_RE.fullmatch(head.strip())
+        if match is None:
             raise PathStructureError(f"bad plan line {line!r}")
-        agent_id = int(head.split()[1])
+        agent_id = int(match.group(1))
+        if agent_id in paths:
+            raise PathStructureError(f"agent {agent_id} listed twice")
         steps = [(Vertex(int(f), int(x), int(y)), int(t))
                  for f, x, y, t in _STEP_RE.findall(rest)]
         if not steps:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .model import Elevator, MultiFloorGraph, Vertex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElevatorUsage:
     """One agent's single ride: boards elevator k at door floor l_s at time
     t_s and exits at floor l_g at time t_g = t_s + |l_s - l_g| * t_floor."""
@@ -38,7 +38,7 @@ class ElevatorUsage:
         return self.t_s + self.t_o
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElevatorConflict:
     """Tagged elevator conflict. kind='boarding': agents i and j both start
     rides of elevator k with overlapping busy intervals. kind='occupancy':
@@ -128,7 +128,8 @@ def _door_presences(steps: list[tuple[Vertex, int]], graph: MultiFloorGraph) -> 
     return out
 
 
-def detect_elevator_conflicts(paths, graph: MultiFloorGraph) -> list[ElevatorConflict]:
+def detect_elevator_conflicts(paths, graph: MultiFloorGraph,
+                              agent: int | None = None) -> list[ElevatorConflict]:
     """All elevator conflicts of a joint plan, per the two variants:
 
     - boarding: two usages of the same elevator with overlapping busy
@@ -139,7 +140,9 @@ def detect_elevator_conflicts(paths, graph: MultiFloorGraph) -> list[ElevatorCon
       rider-vs-rider case and are covered by the boarding variant instead.
 
     `paths` is a sequence of objects with a `steps` list of (Vertex, time),
-    indexed by agent id. Results are ordered by (time, agent pair).
+    indexed by agent id. With `agent` given, only the conflicts that
+    involve that agent are reported. Results are ordered by (time, agent
+    pair).
     """
     usages: dict[int, list[ElevatorUsage]] = {}
     presences: dict[int, list[tuple[int, Vertex, int]]] = {}
@@ -154,7 +157,7 @@ def detect_elevator_conflicts(paths, graph: MultiFloorGraph) -> list[ElevatorCon
     for i in agents:
         for u_i in usages[i]:
             for j in agents:
-                if j == i:
+                if j == i or (agent is not None and agent != i and agent != j):
                     continue
                 for u_j in usages[j]:
                     if u_j.elevator == u_i.elevator and j > i and usages_overlap(u_i, u_j):

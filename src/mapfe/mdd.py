@@ -59,12 +59,13 @@ def _mid_ride(node: MddENode, agent: Agent, graph: MultiFloorGraph) -> bool:
 
 
 def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
-                graph: MultiFloorGraph, node_cap: int = 200_000) -> MddE:
+                graph: MultiFloorGraph, node_cap: int = 200_000, heuristic=None) -> MddE:
     """All cost-d paths of one agent under its constraints, as a leveled
     DAG. Forward timed reachability is intersected with backward
     completability, so every kept node sits on a root-to-goal path of cost
-    exactly d (an arrival at d, not a goal wait)."""
-    heur = _Heuristic(agent, graph)
+    exactly d (an arrival at d, not a goal wait). `heuristic` is the
+    agent's `sipp.cost_to_go`, built here when not given."""
+    heur = heuristic if heuristic is not None else _Heuristic(agent, graph)
     goal_bans = constraints.vertex_bans.get(agent.goal, ())
     if any(hi >= d for _, hi in goal_bans):
         return MddE(agent, d, {}, {}, graph)  # parking at the goal is blocked
@@ -174,10 +175,6 @@ def _add_ride(agent, graph, constraints, e, n: MddENode, d: int, add) -> None:
 # ---------------------------------------------------------------------------
 # joint MDD-E
 # ---------------------------------------------------------------------------
-
-Shaft = tuple  # ("shaft", target MddENode): in flight toward target
-Comp = object  # MddENode | Shaft
-
 
 def _is_shaft(comp) -> bool:
     return isinstance(comp, tuple) and not isinstance(comp, MddENode)
@@ -424,18 +421,21 @@ def _comps_to_path(comps: list, mdd: MddE) -> Path:
 
 
 def classify(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
-             node_cap: int = 200_000, joint_cache: dict | None = None) -> tuple[str, JointMddE | None]:
+             node_cap: int = 200_000, joint_cache: dict | None = None,
+             heuristics=None) -> tuple[str, JointMddE | None]:
     """Cardinality of a conflict in a CT node: cardinal when neither agent
     has an equal-cost path avoiding its side of the conflict inside the
     joint MDD-E, semi-cardinal when exactly one has, non-cardinal when both
-    have. Oversized diagrams fall back to cardinal, the safe choice."""
+    have. Oversized diagrams fall back to cardinal, the safe choice.
+    `heuristics`, indexed by agent id, are the agents' `sipp.cost_to_go`."""
     i, j = c.i, c.j
     key = (min(i, j), max(i, j))
     joint = joint_cache.get(key) if joint_cache is not None else None
     if joint is None:
         try:
-            mdd_i = build_mdd_e(agents[i], node.paths[i].cost, node.omegas[i], graph, node_cap)
-            mdd_j = build_mdd_e(agents[j], node.paths[j].cost, node.omegas[j], graph, node_cap)
+            h_i, h_j = (heuristics[i], heuristics[j]) if heuristics is not None else (None, None)
+            mdd_i = build_mdd_e(agents[i], node.paths[i].cost, node.omegas[i], graph, node_cap, h_i)
+            mdd_j = build_mdd_e(agents[j], node.paths[j].cost, node.omegas[j], graph, node_cap, h_j)
             joint = build_joint(mdd_i, mdd_j, elevator_aware=True, node_cap=node_cap)
         except MddSizeExceeded:
             return CARDINAL, None
@@ -451,13 +451,13 @@ def classify(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
 
 
 def find_bypass(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
-                joint: JointMddE | None = None,
-                node_cap: int = 200_000) -> tuple[int, Path] | None:
+                joint: JointMddE | None = None, node_cap: int = 200_000,
+                heuristics=None) -> tuple[int, Path] | None:
     """An equal-cost replacement path for one of the conflicting agents
     that satisfies its constraints and avoids the conflict, extracted from
     the joint MDD-E; None when neither agent has one."""
     if joint is None:
-        label, joint = classify(node, c, graph, agents, node_cap)
+        label, joint = classify(node, c, graph, agents, node_cap, heuristics=heuristics)
         if joint is None:
             return None
     for agent_id in sorted((c.i, c.j)):

@@ -115,7 +115,12 @@ class MultiFloorGraph:
                         yield Vertex(floor, x, y)
 
     def num_free_vertices(self) -> int:
-        return sum(1 for _ in self.vertices())
+        """Passable vertices over all floors, counted on first use."""
+        count = self.__dict__.get("_num_free")
+        if count is None:
+            count = sum(1 for _ in self.vertices())
+            object.__setattr__(self, "_num_free", count)
+        return count
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ def interval_contains(intervals, t: int) -> bool:
     return any(lo <= t <= hi for lo, hi in intervals)
 
 
-@dataclass
+@dataclass(slots=True)
 class ConstraintSet:
     """One agent's constraints: vertex bans and boarding bans are closed
     time intervals (kept normalized), edge bans are exact departures."""
@@ -90,7 +90,7 @@ def safe_intervals(v: Vertex, constraints: ConstraintSet) -> list[Interval]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """Timed vertex sequence from (start, 0); cost is the goal arrival time.
     Regular steps are one tick apart, ride steps t_floor apart, and trailing
@@ -106,25 +106,11 @@ class Path:
     def end(self) -> Vertex:
         return self.steps[-1][0]
 
-    def timed_map(self) -> dict[int, Vertex]:
-        return {t: v for v, t in self.steps}
-
-    def position_at(self, t: int) -> Vertex | None:
-        """Vertex occupied at time t; None while inside an elevator shaft.
-        Past the final step the agent is parked at its last vertex."""
-        if t >= self.cost:
-            return self.end
-        for v, tv in self.steps:
-            if tv == t:
-                return v
-            if tv > t:
-                return None
-        return None
-
 
 class _Heuristic:
     """Exact unconstrained cost-to-go: same-floor grid distance, or walk to
-    the best door, ride, and walk on the goal floor."""
+    the best door, ride, and walk on the goal floor. It ignores constraints,
+    so one instance serves every plan and MDD-E of its agent in a solve."""
 
     def __init__(self, agent: Agent, graph: MultiFloorGraph):
         self.agent = agent
@@ -171,11 +157,19 @@ def _grid_bfs(graph: MultiFloorGraph, source: Vertex) -> dict[tuple[int, int], i
     return dist
 
 
-def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet) -> Path | None:
+def cost_to_go(agent: Agent, graph: MultiFloorGraph) -> _Heuristic:
+    """The agent's unconstrained heuristic, for callers that plan or build
+    MDD-Es for the agent many times."""
+    return _Heuristic(agent, graph)
+
+
+def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
+         heuristic: _Heuristic | None = None) -> Path | None:
     """Minimum-cost constrained path for one agent, or None when no path
     satisfies the constraints. Ties break on (f, larger g, vertex order);
-    waits in the result are retimed toward the start when legal."""
-    heur = _Heuristic(agent, graph)
+    waits in the result are retimed toward the start when legal.
+    `heuristic` is the agent's `cost_to_go`, built here when not given."""
+    heur = heuristic if heuristic is not None else _Heuristic(agent, graph)
     if heur.value(agent.start, False) == INF:
         return None
     horizon = (graph.num_free_vertices() + constraints.max_end()
@@ -291,7 +285,9 @@ def _reconstruct(agent, graph, constraints, parent, goal_state, goal_g) -> Path:
             steps.extend(visits)
             g_prev = visits[-1][1]
     path = Path(tuple(steps))
-    assert path.cost == goal_g
+    if path.cost != goal_g:
+        raise RuntimeError(f"agent {agent.id}: reconstructed path costs {path.cost}, "
+                           f"but the search reached the goal at {goal_g}")
     return _retime_late(path, graph, constraints) or path
 
 

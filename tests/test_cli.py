@@ -64,6 +64,30 @@ def test_validate_rejects_structurally_broken_plan(golden_files, tmp_path, capsy
     assert "invalid" in capsys.readouterr().out
 
 
+def test_validate_rejects_plan_line_without_agent_id(golden_files, tmp_path, capsys):
+    map_path, scen_path = golden_files
+    plan_path = tmp_path / "headless.txt"
+    plan_path.write_text("agent:\n")
+    code = main(["validate", "--map", str(map_path), "--scen", str(scen_path),
+                 "--plan", str(plan_path)])
+    assert code == 1
+    assert capsys.readouterr().out.startswith("structurally invalid: bad plan line")
+
+
+def test_validate_rejects_duplicated_agent_line(golden_files, tmp_path, capsys):
+    map_path, scen_path = golden_files
+    plan_path = tmp_path / "plan.txt"
+    assert main(["solve", "--map", str(map_path), "--scen", str(scen_path),
+                 "--out", str(plan_path)]) == 0
+    capsys.readouterr()
+    # a bogus first copy of agent 0 that a last-line-wins parser would hide
+    plan_path.write_text("agent 0: (1,0,0)@0\n" + plan_path.read_text())
+    code = main(["validate", "--map", str(map_path), "--scen", str(scen_path),
+                 "--plan", str(plan_path)])
+    assert code == 1
+    assert capsys.readouterr().out.strip() == "structurally invalid: agent 0 listed twice"
+
+
 def test_variant_flags_yield_identical_cost_line(golden_files, capsys):
     map_path, scen_path = golden_files
     lines = []
