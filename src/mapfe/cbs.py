@@ -8,12 +8,14 @@ door) versus (rider defers boardings whose window covers the presence).
 
 Work that cannot change between CT nodes is done once per solve: each
 agent's unconstrained heuristic is built once and shared by every replan
-and MDD-E of that agent. A child replans one agent, so it keeps its
-parent's conflicts that do not involve that agent and rescans only that
-agent against the others. Invariant: every CT node's conflict list equals
-`enumerate_conflicts` over its paths, in `_conflict_key` order, which is a
-total order on a plan's conflicts. `validate` keeps the full scan and
-certifies every returned plan.
+and MDD-E of that agent, and each MDD-E is built once per (agent, cost,
+constraint set) and kept for the rest of the solve (`mdd.MddECache`). A
+child replans one agent, so it keeps its parent's conflicts that do not
+involve that agent and rescans only that agent against the others.
+Invariant: every CT node's conflict list equals `enumerate_conflicts` over
+its paths, in `_conflict_key` order, which is a total order on a plan's
+conflicts. `validate` keeps the full scan and certifies every returned
+plan.
 """
 from __future__ import annotations
 
@@ -102,6 +104,8 @@ class SolveStats:
     mdde_time_fraction: float = 0.0
     branchings: dict[str, int] = field(default_factory=dict)
     bypasses: int = 0
+    mdd_builds: int = 0  # MDD-Es built by the solve
+    mdd_reuses: int = 0  # MDD-E requests the solve's memo answered
 
 
 @dataclass
@@ -223,6 +227,8 @@ class _Solver:
         self.mdde_time = 0.0
         self.t0 = time.perf_counter()  # the solve's clock includes the heuristics
         self.heuristics = [cost_to_go(agent, self.graph) for agent in self.agents]
+        self.mdds = mdd_mod.MddECache(self.graph, self.agents, self.heuristics,
+                                      config.mdd_node_cap)
         self.steps: dict[tuple[Vertex, int], tuple[Vertex, int]] = {}
 
     def run(self) -> SolveResult:
@@ -254,6 +260,8 @@ class _Solver:
     def _finish(self, status: str, node: CTNode | None) -> SolveResult:
         self.stats.runtime = time.perf_counter() - self.t0
         self.stats.solved = status == "solved"
+        self.stats.mdd_builds = self.mdds.builds
+        self.stats.mdd_reuses = self.mdds.reuses
         if self.stats.runtime > 0:
             self.stats.mdde_time_fraction = min(1.0, self.mdde_time / self.stats.runtime)
         solution = None
@@ -321,7 +329,7 @@ class _Solver:
         for c in node.conflicts:
             label, joint = mdd_mod.classify(node, c, self.graph, self.agents,
                                             self.config.mdd_node_cap, joint_cache,
-                                            self.heuristics)
+                                            self.mdds)
             rank = ranks[label]
             if best is None or rank < best[0]:
                 best = (rank, c, joint)
@@ -336,7 +344,7 @@ class _Solver:
         node's conflict count; strict decrease keeps the loop finite."""
         t_start = time.perf_counter()
         found = mdd_mod.find_bypass(node, conflict, self.graph, self.agents,
-                                    joint, self.config.mdd_node_cap, self.heuristics)
+                                    joint, self.config.mdd_node_cap, self.mdds)
         self.mdde_time += time.perf_counter() - t_start
         if found is None:
             return False

@@ -103,8 +103,13 @@ def parse_plan(text: str, instance: Instance) -> list[Path]:
         agent_id = int(match.group(1))
         if agent_id in paths:
             raise PathStructureError(f"agent {agent_id} listed twice")
-        steps = [(Vertex(int(f), int(x), int(y)), int(t))
-                 for f, x, y, t in _STEP_RE.findall(rest)]
+        steps = []
+        for token in rest.split():
+            step = _STEP_RE.fullmatch(token)
+            if step is None:
+                raise PathStructureError(f"agent {agent_id}: bad step {token!r}")
+            f, x, y, t = map(int, step.groups())
+            steps.append((Vertex(f, x, y), t))
         if not steps:
             raise PathStructureError(f"no steps for agent {agent_id}")
         paths[agent_id] = Path(tuple(steps))
@@ -132,7 +137,8 @@ def _cmd_solve(args) -> int:
     stats = result.stats
     print(f"stats expanded={stats.expanded} generated={stats.generated} "
           f"runtime_ms={stats.runtime * 1000.0:.3f} "
-          f"mdde_time_fraction={stats.mdde_time_fraction:.4f}")
+          f"mdde_time_fraction={stats.mdde_time_fraction:.4f} "
+          f"mdd_builds={stats.mdd_builds} mdd_reuses={stats.mdd_reuses}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(plan_text)

@@ -5,6 +5,14 @@ agent can occupy at time t on some minimum-cost constrained path, annotated
 with the ride it has taken so far (sentinels -1 before any ride). Keeping
 the ride annotation in the node identity is what lets the two-agent product
 prune boarding overlaps and door presences that a plain MDD cannot see.
+
+An MDD-E depends only on (agent, cost, constraint set), so a solve builds
+each one once (`MddECache`) and stores every node, level and successor
+tuple once. Classification first asks each agent's own MDD-E whether every
+cost-d path commits that agent's side of the conflict (`_unavoidable`, the
+ICBS width-1 test widened to elevator conflicts); only the other sides are
+searched in the joint product, which expands pairs on demand and stops as
+soon as a search frontier dies.
 """
 from __future__ import annotations
 
@@ -172,6 +180,58 @@ def _add_ride(agent, graph, constraints, e, n: MddENode, d: int, add) -> None:
         prev = m
 
 
+class MddECache:
+    """The MDD-Es of one solve, keyed by (agent, path cost, identity of the
+    agent's `ConstraintSet`). Constraint sets are never mutated (`with_*`
+    returns a new one) and each entry holds its set, so an id is never
+    reused while its entry lives and a hit is exact. Builds over the node
+    cap are remembered as such. Every node and every level or successor
+    tuple is stored once per solve, which keeps the memo small: most of a
+    solve's MDD-Es share most of their nodes. `heuristics`, indexed by
+    agent id, are the agents' `sipp.cost_to_go`."""
+
+    def __init__(self, graph: MultiFloorGraph, agents, heuristics=None,
+                 node_cap: int = 200_000):
+        self.graph = graph
+        self.agents = agents
+        self.heuristics = heuristics
+        self.node_cap = node_cap
+        self.entries: dict[tuple[int, int, int], tuple[ConstraintSet, MddE | None]] = {}
+        self.nodes: dict[MddENode, MddENode] = {}
+        self.tuples: dict[tuple[MddENode, ...], tuple[MddENode, ...]] = {}
+        self.builds = 0
+        self.reuses = 0
+
+    def get(self, agent_id: int, d: int, constraints: ConstraintSet) -> MddE:
+        key = (agent_id, d, id(constraints))
+        entry = self.entries.get(key)
+        if entry is None:
+            self.builds += 1
+            heuristic = self.heuristics[agent_id] if self.heuristics is not None else None
+            try:
+                mdd = self._shared(build_mdd_e(self.agents[agent_id], d, constraints,
+                                               self.graph, self.node_cap, heuristic))
+            except MddSizeExceeded:
+                mdd = None
+            entry = self.entries[key] = (constraints, mdd)
+        else:
+            self.reuses += 1
+        if entry[1] is None:
+            raise MddSizeExceeded(f"MDD-E for agent {agent_id} exceeded {self.node_cap} nodes")
+        return entry[1]
+
+    def _shared(self, mdd: MddE) -> MddE:
+        nodes, tuples = self.nodes.setdefault, self.tuples.setdefault
+
+        def seq(ns: tuple[MddENode, ...]) -> tuple[MddENode, ...]:
+            kept = tuple([nodes(n, n) for n in ns])
+            return tuples(kept, kept)
+
+        levels = {t: seq(level) for t, level in mdd.levels.items()}
+        edges = {nodes(src, src): seq(dsts) for src, dsts in mdd.edges.items()}
+        return MddE(mdd.agent, mdd.d, levels, edges, mdd.graph)
+
+
 # ---------------------------------------------------------------------------
 # joint MDD-E
 # ---------------------------------------------------------------------------
@@ -256,7 +316,13 @@ class JointMddE:
     """Conflict-pruned product of two agents' MDD-Es, advanced in unit time
     steps; the shorter side is parked at its goal once finished. A pair
     survives at level t exactly when some pairwise-conflict-free prefix pair
-    reaches it."""
+    reaches it.
+
+    Pairs are expanded on demand: `successors` computes one pair's
+    successors and keeps them, and `levels` holds the root level until
+    `all_levels` expands the whole product. `pairs` counts the expanded
+    pairs; past `node_cap` every search of this joint raises
+    `MddSizeExceeded`."""
 
     mdd_a: MddE
     mdd_b: MddE
@@ -264,50 +330,60 @@ class JointMddE:
     levels: dict[int, list[tuple]]
     adj: dict[tuple[int, tuple], list[tuple[tuple, _Trans, _Trans]]]
     elevator_aware: bool
+    node_cap: int = 200_000
+    pairs: int = 0
+
+    def successors(self, t: int, pair: tuple) -> list[tuple[tuple, _Trans, _Trans]]:
+        """Conflict-free successors of a level-t pair with both sides'
+        transitions, in `itertools.product` order over `_comp_succs`."""
+        key = (t, pair)
+        out = self.adj.get(key)
+        if out is None:
+            self.pairs += 1
+            self.check_cap()
+            mdd_a, mdd_b = self.mdd_a, self.mdd_b
+            ca, cb = pair
+            out = self.adj[key] = [
+                ((sa, sb), tra, trb)
+                for (sa, tra), (sb, trb) in itertools.product(
+                    _comp_succs(mdd_a, ca, t), _comp_succs(mdd_b, cb, t))
+                if not _pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra, trb, t,
+                                       self.elevator_aware)]
+        return out
+
+    def check_cap(self) -> None:
+        if self.pairs > self.node_cap:
+            raise MddSizeExceeded(f"joint MDD-E exceeded {self.node_cap} pairs")
+
+    def all_levels(self) -> dict[int, list[tuple]]:
+        """Every level of the product, each sorted; later levels stay empty
+        once one is (the joint is then incomplete)."""
+        levels = self.levels
+        for t in range(self.t_end):
+            if t + 1 in levels or t not in levels:
+                continue
+            nxt = {succ: None for pair in levels[t] for succ, _, _ in self.successors(t, pair)}
+            if nxt:
+                levels[t + 1] = sorted(nxt, key=lambda p: (_comp_key(p[0]), _comp_key(p[1])))
+        return levels
 
     @property
     def complete(self) -> bool:
-        return bool(self.levels.get(self.t_end))
+        return bool(self.all_levels().get(self.t_end))
 
     def vertex_pairs(self, t: int) -> set[tuple[Vertex | None, Vertex | None]]:
-        return {(_vertex_of(a), _vertex_of(b)) for a, b in self.levels.get(t, ())}
+        return {(_vertex_of(a), _vertex_of(b)) for a, b in self.all_levels().get(t, ())}
 
 
 def build_joint(mdd_a: MddE, mdd_b: MddE, elevator_aware: bool = True,
                 node_cap: int = 200_000) -> JointMddE:
+    """The joint MDD-E of two agents with only its root level in place;
+    pairs are expanded as searches reach them."""
     t_end = max(mdd_a.d, mdd_b.d)
-    if mdd_a.empty or mdd_b.empty:
-        return JointMddE(mdd_a, mdd_b, t_end, {}, {}, elevator_aware)
-    graph = mdd_a.graph
-    root = (mdd_a.root, mdd_b.root)
-    if mdd_a.root.vertex == mdd_b.root.vertex:
-        return JointMddE(mdd_a, mdd_b, t_end, {}, {}, elevator_aware)
-    levels: dict[int, list[tuple]] = {0: [root]}
-    adj: dict[tuple[int, tuple], list[tuple[tuple, _Trans, _Trans]]] = {}
-    count = 1
-
-    for t in range(t_end):
-        nxt: list[tuple] = []
-        seen: set[tuple] = set()
-        for pair in levels.get(t, ()):
-            ca, cb = pair
-            out = adj.setdefault((t, pair), [])
-            for (sa, tra), (sb, trb) in itertools.product(
-                    _comp_succs(mdd_a, ca, t), _comp_succs(mdd_b, cb, t)):
-                if _pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra, trb, t, elevator_aware):
-                    continue
-                succ = (sa, sb)
-                out.append((succ, tra, trb))
-                if succ not in seen:
-                    seen.add(succ)
-                    nxt.append(succ)
-                    count += 1
-                    if count > node_cap:
-                        raise MddSizeExceeded(f"joint MDD-E exceeded {node_cap} pairs")
-        if not nxt:
-            break  # later levels stay empty; the joint is incomplete
-        levels[t + 1] = sorted(nxt, key=lambda p: (_comp_key(p[0]), _comp_key(p[1])))
-    return JointMddE(mdd_a, mdd_b, t_end, levels, adj, elevator_aware)
+    levels: dict[int, list[tuple]] = {}
+    if not (mdd_a.empty or mdd_b.empty or mdd_a.root.vertex == mdd_b.root.vertex):
+        levels[0] = [(mdd_a.root, mdd_b.root)]
+    return JointMddE(mdd_a, mdd_b, t_end, levels, {}, elevator_aware, node_cap)
 
 
 def _pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra: _Trans, trb: _Trans,
@@ -372,12 +448,51 @@ def _violates_edge(conflict, agent_id: int, tra: _Trans, t: int) -> bool:
     return tra.u == conflict.w and tra.w == conflict.u
 
 
-def _bypass_comps(joint: JointMddE, side: int, conflict, agent_id: int) -> list | None:
-    """Side components of a complete conflict-free pair path avoiding the
-    agent's own participation in the conflict, or None."""
-    if not joint.levels:
-        return None
+def _always_at(mdd: MddE, v: Vertex, t: int) -> bool:
+    """Is every path of the MDD-E on v at time t? Finished agents park at
+    their goal; a path inside a shaft at t has no level-t node, so a ride
+    edge spanning t is a way around v."""
+    if t >= mdd.d:
+        return v == mdd.agent.goal
+    level = mdd.levels.get(t)
+    if not level or any(n.vertex != v for n in level):
+        return False
+    longest = max((e.t_floor for e in mdd.graph.elevators), default=1)
+    return not any(m.time > t
+                   for s in range(max(0, t - longest + 1), t)
+                   for n in mdd.levels.get(s, ())
+                   for m in mdd.edges.get(n, ()))
+
+
+def _unavoidable(mdd: MddE, conflict, agent_id: int) -> bool:
+    """Does every cost-d path of the agent's own MDD-E commit its side of
+    the conflict? Then no joint path avoids it either, and the joint search
+    for this side can be skipped. Vacuously true for an empty MDD-E."""
+    if mdd.empty:
+        return True
+    kind = conflict.kind
+    if kind == "vertex":
+        return _always_at(mdd, conflict.v, conflict.t)
+    if kind == "edge":
+        u, w = (conflict.u, conflict.w) if agent_id == conflict.i else (conflict.w, conflict.u)
+        return _always_at(mdd, u, conflict.t) and _always_at(mdd, w, conflict.t + 1)
+    if kind == "occupancy" and agent_id == conflict.j:
+        return _always_at(mdd, conflict.vertex, conflict.time)
+    # a boarding side, or the rider of an occupancy conflict, depends only on
+    # the ride, which every node after boarding carries up to the goal level
+    return all(_violates_node(conflict, agent_id, mdd, n, mdd.d) for n in mdd.levels[mdd.d])
+
+
+def _bypass_comps(joint: JointMddE, conflict, agent_id: int) -> list | None:
+    """The agent's components along a complete conflict-free pair path that
+    avoids its own participation in the conflict, or None. The breadth-first
+    search expands joint pairs only as it reaches them and stops at the
+    first empty frontier."""
+    side = 0 if joint.mdd_a.agent.id == agent_id else 1
     mdd = joint.mdd_a if side == 0 else joint.mdd_b
+    if not joint.levels or _unavoidable(mdd, conflict, agent_id):
+        return None
+    joint.check_cap()
     root = joint.levels[0][0]
     if _violates_node(conflict, agent_id, mdd, root[side], 0):
         return None
@@ -386,7 +501,7 @@ def _bypass_comps(joint: JointMddE, side: int, conflict, agent_id: int) -> list 
     for t in range(joint.t_end):
         nxt = []
         for pair in frontier:
-            for succ, tra, trb in joint.adj.get((t, pair), ()):
+            for succ, tra, trb in joint.successors(t, pair):
                 key = (t + 1, succ)
                 if key in parent:
                     continue
@@ -422,27 +537,31 @@ def _comps_to_path(comps: list, mdd: MddE) -> Path:
 
 def classify(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
              node_cap: int = 200_000, joint_cache: dict | None = None,
-             heuristics=None) -> tuple[str, JointMddE | None]:
+             mdds: MddECache | None = None) -> tuple[str, JointMddE | None]:
     """Cardinality of a conflict in a CT node: cardinal when neither agent
     has an equal-cost path avoiding its side of the conflict inside the
     joint MDD-E, semi-cardinal when exactly one has, non-cardinal when both
-    have. Oversized diagrams fall back to cardinal, the safe choice.
-    `heuristics`, indexed by agent id, are the agents' `sipp.cost_to_go`."""
+    have. A side that every path of the agent's own MDD-E commits has no
+    such path, so when both sides are, the conflict is cardinal without a
+    joint search. Oversized diagrams fall back to cardinal, the safe
+    choice, with no joint. `mdds` is the solve's MDD-E memo; without one
+    the two MDD-Es are built afresh."""
     i, j = c.i, c.j
     key = (min(i, j), max(i, j))
     joint = joint_cache.get(key) if joint_cache is not None else None
-    if joint is None:
-        try:
-            h_i, h_j = (heuristics[i], heuristics[j]) if heuristics is not None else (None, None)
-            mdd_i = build_mdd_e(agents[i], node.paths[i].cost, node.omegas[i], graph, node_cap, h_i)
-            mdd_j = build_mdd_e(agents[j], node.paths[j].cost, node.omegas[j], graph, node_cap, h_j)
+    try:
+        if joint is None:
+            if mdds is None:
+                mdds = MddECache(graph, agents, node_cap=node_cap)
+            mdd_i = mdds.get(i, node.paths[i].cost, node.omegas[i])
+            mdd_j = mdds.get(j, node.paths[j].cost, node.omegas[j])
             joint = build_joint(mdd_i, mdd_j, elevator_aware=True, node_cap=node_cap)
-        except MddSizeExceeded:
-            return CARDINAL, None
-        if joint_cache is not None:
-            joint_cache[key] = joint
-    has_i = _bypass_comps(joint, 0 if joint.mdd_a.agent.id == i else 1, c, i) is not None
-    has_j = _bypass_comps(joint, 0 if joint.mdd_a.agent.id == j else 1, c, j) is not None
+            if joint_cache is not None:
+                joint_cache[key] = joint
+        has_i = _bypass_comps(joint, c, i) is not None
+        has_j = _bypass_comps(joint, c, j) is not None
+    except MddSizeExceeded:
+        return CARDINAL, None
     if has_i and has_j:
         return NON_CARDINAL, joint
     if has_i or has_j:
@@ -452,18 +571,21 @@ def classify(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
 
 def find_bypass(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
                 joint: JointMddE | None = None, node_cap: int = 200_000,
-                heuristics=None) -> tuple[int, Path] | None:
+                mdds: MddECache | None = None) -> tuple[int, Path] | None:
     """An equal-cost replacement path for one of the conflicting agents
     that satisfies its constraints and avoids the conflict, extracted from
-    the joint MDD-E; None when neither agent has one."""
+    the joint MDD-E; None when neither agent has one or the joint grows
+    past its cap."""
     if joint is None:
-        label, joint = classify(node, c, graph, agents, node_cap, heuristics=heuristics)
+        label, joint = classify(node, c, graph, agents, node_cap, mdds=mdds)
         if joint is None:
             return None
     for agent_id in sorted((c.i, c.j)):
-        side = 0 if joint.mdd_a.agent.id == agent_id else 1
-        comps = _bypass_comps(joint, side, c, agent_id)
+        try:
+            comps = _bypass_comps(joint, c, agent_id)
+        except MddSizeExceeded:
+            return None
         if comps is not None:
-            mdd = joint.mdd_a if side == 0 else joint.mdd_b
+            mdd = joint.mdd_a if joint.mdd_a.agent.id == agent_id else joint.mdd_b
             return agent_id, _comps_to_path(comps, mdd)
     return None

@@ -273,3 +273,58 @@ def mdd_path_set(mdd) -> set[tuple]:
     root = mdd.root
     rec(root, [(root.vertex, 0)])
     return set(out)
+
+
+def path_commits(conflict, agent_id: int, steps, graph: MultiFloorGraph) -> bool:
+    """Does a complete path of agent_id take part in its side of the
+    conflict? Read off the timed steps and the path's own ride: positions
+    park at the goal after the arrival and are None inside a shaft."""
+    cost = steps[-1][1]
+
+    def pos(t):
+        if t >= cost:
+            return steps[-1][0]
+        return next((w for w, tw in steps if tw == t), None)
+
+    kind = conflict.kind
+    if kind == "vertex":
+        return pos(conflict.t) == conflict.v
+    if kind == "edge":
+        u, w = (conflict.u, conflict.w) if agent_id == conflict.i else (conflict.w, conflict.u)
+        return pos(conflict.t) == u and pos(conflict.t + 1) == w
+    if kind == "occupancy" and agent_id == conflict.j:
+        return pos(conflict.time) == conflict.vertex
+    ride = _path_usage(steps, graph)  # (elevator, t_s, l_s, l_g, t_g)
+    if ride is None or ride[0] != conflict.elevator:
+        return False
+    k, t_s, _, l_g, t_g = ride
+    if kind == "boarding":
+        own = conflict.usage_i if agent_id == conflict.i else conflict.usage_j
+        return t_s == own.t_s
+    reset = abs(l_g - conflict.vertex.floor) * graph.elevators[k].t_floor
+    return t_s <= conflict.time <= t_g + reset
+
+
+def classify_by_enumeration(conflict, agents, graph: MultiFloorGraph, omegas, costs) -> str:
+    """Cardinality from every pair of cost-exact paths of the two agents:
+    an agent has a bypass when some pair that stays conflict-free up to the
+    later arrival has that agent's path outside its side of the conflict."""
+    i, j = conflict.i, conflict.j
+    t_end = max(costs[i], costs[j])
+    paths_i = [(p, path_commits(conflict, i, p, graph))
+               for p in enumerate_cost_d_paths(agents[i], graph, omegas[i], costs[i])]
+    paths_j = [(p, path_commits(conflict, j, p, graph))
+               for p in enumerate_cost_d_paths(agents[j], graph, omegas[j], costs[j])]
+    has_i = has_j = False
+    for p_i, commits_i in paths_i:
+        for p_j, commits_j in paths_j:
+            if (has_i or commits_i) and (has_j or commits_j):
+                continue
+            if earliest_pair_kill(p_i, p_j, graph, t_end + 1) > t_end:
+                has_i = has_i or not commits_i
+                has_j = has_j or not commits_j
+    if has_i and has_j:
+        return "non-cardinal"
+    if has_i or has_j:
+        return "semi-cardinal"
+    return "cardinal"

@@ -26,6 +26,7 @@ def test_solve_prints_cost_paths_and_stats(golden_files, capsys):
     assert lines[1].startswith("agent 0: (1,0,0)@0")
     assert lines[2].startswith("agent 1: (3,0,0)@0")
     assert lines[3].startswith("stats expanded=")
+    assert "mdd_builds=" in lines[3] and "mdd_reuses=" in lines[3]
 
 
 def test_solve_validate_round_trip(golden_files, tmp_path, capsys):
@@ -86,6 +87,20 @@ def test_validate_rejects_duplicated_agent_line(golden_files, tmp_path, capsys):
                  "--plan", str(plan_path)])
     assert code == 1
     assert capsys.readouterr().out.strip() == "structurally invalid: agent 0 listed twice"
+
+
+def test_validate_rejects_tokens_that_are_not_steps(golden_files, tmp_path, capsys):
+    map_path, scen_path = golden_files
+    plan_path = tmp_path / "plan.txt"
+    assert main(["solve", "--map", str(map_path), "--scen", str(scen_path),
+                 "--out", str(plan_path)]) == 0
+    capsys.readouterr()
+    # a stray word between the first two steps of agent 0's line
+    plan_path.write_text(plan_path.read_text().replace(")@0 ", ")@0 garbage ", 1))
+    code = main(["validate", "--map", str(map_path), "--scen", str(scen_path),
+                 "--plan", str(plan_path)])
+    assert code == 1
+    assert capsys.readouterr().out.strip() == "structurally invalid: agent 0: bad step 'garbage'"
 
 
 def test_variant_flags_yield_identical_cost_line(golden_files, capsys):

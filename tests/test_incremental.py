@@ -90,17 +90,47 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("n, seed", sorted(PINNED))
-def test_search_counters_are_pinned_on_c7_seeds(n, seed):
-    cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
-                           tfloor=3, agents=[n], instances=1)
+# Tower family (6x6, 4 floors, 2 elevators, tfloor 2, N=4): in-shaft door
+# visits and multi-floor reset windows. Values from the solver that built
+# every MDD-E afresh and the whole joint MDD-E for every classification.
+PINNED_TOWER = {
+    779_009: [(39, 64, 127, 0, {"boarding": 59, "edge": 1, "occupancy": 2, "vertex": 1}),
+              (39, 8, 15, 0, {"boarding": 3, "edge": 1, "occupancy": 2, "vertex": 1}),
+              (39, 37, 69, 2, {"boarding": 31, "edge": 1, "occupancy": 1, "vertex": 1}),
+              (39, 7, 9, 2, {"boarding": 1, "edge": 1, "occupancy": 1, "vertex": 1})],
+    779_020: [(42, 69, 137, 0, {"boarding": 32, "vertex": 36}),
+              (42, 37, 73, 0, {"boarding": 4, "vertex": 32}),
+              (42, 77, 121, 16, {"boarding": 22, "vertex": 38}),
+              (42, 36, 61, 5, {"boarding": 4, "vertex": 26})],
+    779_023: [(48, 27, 53, 0, {"boarding": 22, "edge": 1, "occupancy": 1, "vertex": 2}),
+              (48, 13, 25, 0, {"boarding": 8, "edge": 1, "occupancy": 1, "vertex": 2}),
+              (48, 29, 45, 6, {"boarding": 18, "edge": 1, "occupancy": 1, "vertex": 2}),
+              (48, 14, 17, 5, {"boarding": 6, "edge": 1, "vertex": 1})],
+}
+
+
+def _check_pinned(cfg, n, seed, pinned):
     instance = gen_instance(cfg, n, seed=seed)
-    for (ec, mdde), expected in zip(ALL_VARIANTS, PINNED[(n, seed)]):
+    for (ec, mdde), expected in zip(ALL_VARIANTS, pinned):
         result = solve(instance, SolverConfig(ec_enabled=ec, mdde_enabled=mdde, time_limit=60))
         s = result.stats
         assert result.status == "solved", (ec, mdde)
         assert (result.solution.g, s.expanded, s.generated, s.bypasses, s.branchings) == expected, \
             (ec, mdde)
+
+
+@pytest.mark.parametrize("n, seed", sorted(PINNED))
+def test_search_counters_are_pinned_on_c7_seeds(n, seed):
+    cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
+                           tfloor=3, agents=[n], instances=1)
+    _check_pinned(cfg, n, seed, PINNED[(n, seed)])
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_TOWER))
+def test_search_counters_are_pinned_on_tower_seeds(seed):
+    cfg = ExperimentConfig(size=6, obstacle_rate=0.1, floors=4, elevators=2,
+                           tfloor=2, agents=[4], instances=1)
+    _check_pinned(cfg, 4, seed, PINNED_TOWER[seed])
 
 
 def test_solver_builds_one_heuristic_per_agent(monkeypatch):
@@ -118,6 +148,24 @@ def test_solver_builds_one_heuristic_per_agent(monkeypatch):
     result = solve(gen_instance(cfg, 6, seed=777_002), SolverConfig(time_limit=60))
     assert result.stats.expanded > 1
     assert built == list(range(6))
+
+
+def test_solver_builds_one_mdd_e_per_constraint_set(monkeypatch):
+    from mapfe import mdd
+    built = []
+    build = mdd.build_mdd_e
+
+    def counting(agent, d, constraints, *args):
+        built.append((agent.id, d, id(constraints)))
+        return build(agent, d, constraints, *args)
+
+    monkeypatch.setattr(mdd, "build_mdd_e", counting)
+    cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
+                           tfloor=3, agents=[6], instances=1)
+    result = solve(gen_instance(cfg, 6, seed=777_004), SolverConfig(time_limit=60))
+    # the solve's memo holds every constraint set it built for, so no id repeats
+    assert len(built) == len(set(built)) == result.stats.mdd_builds
+    assert result.stats.mdd_reuses > 0
 
 
 # Drops the first conflict of every one-agent rescan, so the search reaches

@@ -1,6 +1,11 @@
 import random
 from types import SimpleNamespace
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from mapfe import mdd as mdd_mod
+from mapfe.cbs import SolverConfig, VertexConflict, solve
 from mapfe.mdd import (
     CARDINAL,
     NON_CARDINAL,
@@ -15,10 +20,13 @@ from mapfe.model import Agent, Vertex, parse_map, parse_scenario
 from mapfe.sipp import ConstraintSet, plan
 
 from reference import (
+    classify_by_enumeration,
     enumerate_cost_d_paths,
     joint_levels_by_enumeration,
     mdd_path_set,
+    path_commits,
 )
+from test_incremental import multi_floor_instances
 
 
 def _vset(mdd, t):
@@ -125,7 +133,7 @@ def test_joint_levels_match_pairwise_enumeration(corridor2, flat3):
         joint = build_joint(mi, mj)
         expected = joint_levels_by_enumeration(ai, aj, g, cs, cs, d_i, d_j)
         got = {}
-        for t, pairs in joint.levels.items():
+        for t, pairs in joint.all_levels().items():
             for ca, cb in pairs:
                 got.setdefault(t, set()).add((_as_state(ca), _as_state(cb)))
         assert got == expected, (line_i, line_j, d_i, d_j)
@@ -242,3 +250,64 @@ def test_boarding_conflict_is_cardinal_when_one_elevator(corridor2):
     node = _ct(paths, [ConstraintSet(), ConstraintSet()])
     label, _ = classify(node, c, corridor2, inst.agents)
     assert label == CARDINAL
+
+
+def test_joint_over_its_cap_is_cardinal_without_bypass():
+    # both MDD-Es fit under the cap; the joint search for a bypass does not
+    g = parse_map("type mapf-e\nfloors 1\nheight 4\nwidth 4\ntfloor 1\n" + "....\n" * 4)
+    i = Agent(0, Vertex(1, 0, 0), Vertex(1, 3, 3))
+    j = Agent(1, Vertex(1, 3, 0), Vertex(1, 0, 3))
+    agents = (i, j)
+    node = _ct([plan(a, g, ConstraintSet()) for a in agents], [ConstraintSet(), ConstraintSet()])
+    c = VertexConflict(0, 1, Vertex(1, 1, 0), 1)
+    cap = 20
+    mdds = [build_mdd_e(a, 6, ConstraintSet(), g, node_cap=cap) for a in agents]
+    assert all(sum(map(len, m.levels.values())) == 16 for m in mdds)
+    label, joint = classify(node, c, g, agents)
+    assert label == NON_CARDINAL and joint.pairs > cap
+    assert classify(node, c, g, agents, node_cap=cap) == (CARDINAL, None)
+    assert find_bypass(node, c, g, agents, node_cap=cap) is None
+    assert find_bypass(node, c, g, agents, build_joint(*mdds, node_cap=cap)) is None
+
+
+def test_unavoidable_side_sees_a_ride_spanning_the_level():
+    # two equal-cost routes: ride elevator 0 at t=1 (in the shaft at t=2 and
+    # t=3), or walk to elevator 1 and ride at t=3; level 2 holds only the
+    # walker's cell, which the rider's route still avoids
+    g = parse_map("type mapf-e\nfloors 2\nheight 1\nwidth 5\ntfloor 3\nE...E\nE...E\n")
+    a = Agent(0, Vertex(1, 1, 0), Vertex(2, 3, 0))
+    mdd = build_mdd_e(a, 7, ConstraintSet(), g)
+    assert _vset(mdd, 2) == {Vertex(1, 3, 0)}
+    c = VertexConflict(0, 1, Vertex(1, 3, 0), 2)
+    assert not mdd_mod._unavoidable(mdd, c, 0)
+    paths = enumerate_cost_d_paths(a, g, ConstraintSet(), 7)
+    assert any(not path_commits(c, 0, p, g) for p in paths)
+    at_goal = VertexConflict(0, 1, Vertex(2, 3, 0), 7)
+    assert mdd_mod._unavoidable(mdd, at_goal, 0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(multi_floor_instances())
+def test_classify_matches_enumeration(instance):
+    """Every label the solver computes equals the one from enumerating all
+    path pairs, and every side the single-MDD-E test calls unavoidable is
+    committed by every cost-exact path of that agent."""
+    graph, agents = instance.graph, instance.agents
+    real = mdd_mod.classify
+
+    def checked(node, c, *args, **kwargs):
+        label, joint = real(node, c, *args, **kwargs)
+        costs = [p.cost for p in node.paths]
+        assert label == classify_by_enumeration(c, agents, graph, node.omegas, costs), c
+        for a in (c.i, c.j):
+            own = build_mdd_e(agents[a], costs[a], node.omegas[a], graph)
+            if mdd_mod._unavoidable(own, c, a):
+                paths = enumerate_cost_d_paths(agents[a], graph, node.omegas[a], costs[a])
+                assert all(path_commits(c, a, p, graph) for p in paths), (c, a)
+        return label, joint
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mdd_mod, "classify", checked)
+        for ec in (False, True):
+            solve(instance, SolverConfig(ec_enabled=ec, mdde_enabled=True, time_limit=0.25))
