@@ -52,6 +52,10 @@ class ExperimentConfig:
         for name in self.variants:
             if name not in VARIANTS:
                 raise ValueError(f"unknown variant {name!r}")
+        for key in ("floors", "tfloor", "agents"):
+            value = getattr(self, key)
+            if any(v < 1 for v in (value if isinstance(value, list) else [value])):
+                raise ValueError(f"{key} must be >= 1")
         lists = [k for k in ("floors", "tfloor", "agents") if isinstance(getattr(self, k), list)]
         if len(lists) > 1:
             raise ValueError(f"only one axis may vary, got {lists}")

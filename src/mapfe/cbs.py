@@ -6,12 +6,16 @@ intervals when elevator constraints are enabled, which resolves each such
 conflict in one split; door-occupancy conflicts branch on (occupier off the
 door) versus (rider defers boardings whose window covers the presence).
 
-Work that cannot change between CT nodes is done once per solve: each
-agent's unconstrained heuristic is built once and shared by every replan
-and MDD-E of that agent, and each MDD-E is built once per (agent, cost,
-constraint set) and kept for the rest of the solve (`mdd.MddECache`). A
-child replans one agent, so it keeps its parent's conflicts that do not
-involve that agent and rescans only that agent against the others.
+Work that cannot change between CT nodes is done once per solve: the grid
+index (`sipp.GridIndex`: neighbour tuples and BFS distance fields, each
+field computed once for every agent that needs it) is built when the
+solver is, each agent's unconstrained heuristic is built once from it and
+shared by every replan and MDD-E of that agent, each MDD-E is built once
+per (agent, cost, constraint set) and kept for the rest of the solve
+(`mdd.MddECache`), and each path's rides and door presences are extracted
+once (`elevator.RideSummaries`). A child replans one agent, so it keeps
+its parent's conflicts that do not involve that agent and rescans only
+that agent against the others.
 Invariant: every CT node's conflict list equals `enumerate_conflicts` over
 its paths, in `_conflict_key` order, which is a total order on a plan's
 conflicts. `validate` keeps the full scan and certifies every returned
@@ -25,9 +29,10 @@ import time
 from dataclasses import dataclass, field
 
 from . import mdd as mdd_mod
-from .elevator import ElevatorConflict, detect_elevator_conflicts, ec_constraints, occupancy_constraints
+from .elevator import (ElevatorConflict, RideSummaries, detect_elevator_conflicts, ec_constraints,
+                       occupancy_constraints)
 from .model import Instance, MultiFloorGraph, Vertex
-from .sipp import ConstraintSet, Path, cost_to_go, plan
+from .sipp import ConstraintSet, GridIndex, Path, cost_to_go, plan
 
 _KIND_RANK = {"vertex": 0, "edge": 1, "boarding": 2, "occupancy": 3}
 
@@ -91,7 +96,7 @@ class SolverConfig:
     mdd_node_cap: int = 200_000
 
     def __post_init__(self) -> None:
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # also rejects NaN; inf means no limit
             raise ValueError("time_limit must be positive")
 
 
@@ -106,6 +111,7 @@ class SolveStats:
     bypasses: int = 0
     mdd_builds: int = 0  # MDD-Es built by the solve
     mdd_reuses: int = 0  # MDD-E requests the solve's memo answered
+    distance_fields: int = 0  # grid BFS fields the solve computed
 
 
 @dataclass
@@ -145,12 +151,13 @@ def _timeline(path: Path, horizon: int) -> list[Vertex | None]:
     return where
 
 
-def enumerate_conflicts(paths: list[Path], graph: MultiFloorGraph,
-                        agent: int | None = None) -> list[Conflict]:
+def enumerate_conflicts(paths: list[Path], graph: MultiFloorGraph, agent: int | None = None,
+                        rides: RideSummaries | None = None) -> list[Conflict]:
     """Every vertex, edge, and elevator conflict of the joint plan, with
     finished agents parked at their goals, in `_conflict_key` order. With
-    `agent` given, only the conflicts that involve that agent."""
-    out: list[Conflict] = list(detect_elevator_conflicts(paths, graph, agent))
+    `agent` given, only the conflicts that involve that agent. `rides` is
+    the solve's memo of each path's rides and door presences."""
+    out: list[Conflict] = list(detect_elevator_conflicts(paths, graph, agent, rides))
     if len(paths) >= 2:
         horizon = max(p.cost for p in paths)
         where = [_timeline(p, horizon) for p in paths]
@@ -226,7 +233,9 @@ class _Solver:
         self.seq = 0
         self.mdde_time = 0.0
         self.t0 = time.perf_counter()  # the solve's clock includes the heuristics
-        self.heuristics = [cost_to_go(agent, self.graph) for agent in self.agents]
+        self.index = GridIndex(self.graph)
+        self.heuristics = [cost_to_go(agent, self.graph, self.index) for agent in self.agents]
+        self.rides = RideSummaries(self.graph)
         self.mdds = mdd_mod.MddECache(self.graph, self.agents, self.heuristics,
                                       config.mdd_node_cap)
         self.steps: dict[tuple[Vertex, int], tuple[Vertex, int]] = {}
@@ -262,6 +271,7 @@ class _Solver:
         self.stats.solved = status == "solved"
         self.stats.mdd_builds = self.mdds.builds
         self.stats.mdd_reuses = self.mdds.reuses
+        self.stats.distance_fields = len(self.index.fields)
         if self.stats.runtime > 0:
             self.stats.mdde_time_fraction = min(1.0, self.mdde_time / self.stats.runtime)
         solution = None
@@ -295,7 +305,7 @@ class _Solver:
         """Conflicts of `paths`, which differ from node's only in agent_id's
         path: the node's conflicts without that agent, plus a rescan of it."""
         conflicts = [c for c in node.conflicts if c.i != agent_id and c.j != agent_id]
-        conflicts += enumerate_conflicts(paths, self.graph, agent_id)
+        conflicts += enumerate_conflicts(paths, self.graph, agent_id, self.rides)
         conflicts.sort(key=_conflict_key)
         return conflicts
 
@@ -309,7 +319,7 @@ class _Solver:
                 return None
             paths.append(path)
             omegas.append(omega)
-        conflicts = enumerate_conflicts(paths, self.graph)
+        conflicts = enumerate_conflicts(paths, self.graph, rides=self.rides)
         node = CTNode(paths, sum(p.cost for p in paths), omegas, conflicts, self._next_seq())
         self.stats.generated += 1
         return node

@@ -7,6 +7,7 @@ timed vertex including in-ride door visits.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -21,6 +22,27 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_TIMEOUT = 2
 EXIT_USAGE = 3
+
+
+def _positive_seconds(text: str) -> float:
+    """A time limit: a float > 0; NaN is refused and inf means no limit."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {text!r}")
+    return value
+
+
+def _horizon(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,7 +61,7 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--scen", required=True)
     p_solve.add_argument("--ec", choices=("on", "off"), default="on")
     p_solve.add_argument("--mdde", choices=("on", "off"), default="on")
-    p_solve.add_argument("--time-limit", type=float, default=60.0)
+    p_solve.add_argument("--time-limit", type=_positive_seconds, default=60.0)
     p_solve.add_argument("--out", help="write the plan to this file")
 
     p_gen = sub.add_parser("gen", help="generate a random map and scenario")
@@ -65,7 +87,7 @@ def _build_parser() -> _Parser:
     p_oracle = sub.add_parser("oracle", help="exact optimum by joint search (small N)")
     p_oracle.add_argument("--map", required=True)
     p_oracle.add_argument("--scen", required=True)
-    p_oracle.add_argument("--horizon", type=int, default=None)
+    p_oracle.add_argument("--horizon", type=_horizon, default=None)
     return parser
 
 
@@ -138,7 +160,8 @@ def _cmd_solve(args) -> int:
     print(f"stats expanded={stats.expanded} generated={stats.generated} "
           f"runtime_ms={stats.runtime * 1000.0:.3f} "
           f"mdde_time_fraction={stats.mdde_time_fraction:.4f} "
-          f"mdd_builds={stats.mdd_builds} mdd_reuses={stats.mdd_reuses}")
+          f"mdd_builds={stats.mdd_builds} mdd_reuses={stats.mdd_reuses} "
+          f"distance_fields={stats.distance_fields}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(plan_text)
@@ -214,8 +237,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return commands[args.command](args)
-    except (OSError, ValueError) as exc:
-        # unreadable or invalid input data
+    except (OSError, ValueError, bench_mod.GenerationError) as exc:
+        # unreadable or invalid input data, or no instance to generate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

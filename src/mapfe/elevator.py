@@ -128,8 +128,35 @@ def _door_presences(steps: list[tuple[Vertex, int]], graph: MultiFloorGraph) -> 
     return out
 
 
-def detect_elevator_conflicts(paths, graph: MultiFloorGraph,
-                              agent: int | None = None) -> list[ElevatorConflict]:
+class RideSummaries:
+    """Each path's rides (stamped with its agent's id) and door presences,
+    extracted once per solve. Summaries are keyed by path identity, and
+    the memo keeps every path it has summarised alive, so an id is never
+    reused; a path belongs to one agent in a solve. Equal summaries are
+    stored once: an agent's replans mostly keep its ride, and paths with
+    no ride and no door step all share one summary."""
+
+    def __init__(self, graph: MultiFloorGraph):
+        self.graph = graph
+        self.by_path: dict[int, tuple] = {}
+        self.paths: list = []
+        self.summaries: dict[tuple, tuple] = {}
+
+    def get(self, agent: int, path) -> tuple:
+        """(rides, door presences) of agent's path."""
+        summary = self.by_path.get(id(path))
+        if summary is None:
+            steps = path.steps
+            usages = tuple([ElevatorUsage(agent, u.elevator, u.t_s, u.l_s, u.l_g, u.t_floor)
+                            for u in extract_usages(steps, self.graph)])
+            summary = (usages, tuple(_door_presences(steps, self.graph)))
+            summary = self.by_path[id(path)] = self.summaries.setdefault(summary, summary)
+            self.paths.append(path)
+        return summary
+
+
+def detect_elevator_conflicts(paths, graph: MultiFloorGraph, agent: int | None = None,
+                              rides: RideSummaries | None = None) -> list[ElevatorConflict]:
     """All elevator conflicts of a joint plan, per the two variants:
 
     - boarding: two usages of the same elevator with overlapping busy
@@ -141,16 +168,15 @@ def detect_elevator_conflicts(paths, graph: MultiFloorGraph,
 
     `paths` is a sequence of objects with a `steps` list of (Vertex, time),
     indexed by agent id. With `agent` given, only the conflicts that
-    involve that agent are reported. Results are ordered by (time, agent
-    pair).
+    involve that agent are reported. `rides` is the solve's per-path
+    summary memo; without one the summaries are extracted afresh. Results
+    are ordered by (time, agent pair).
     """
-    usages: dict[int, list[ElevatorUsage]] = {}
-    presences: dict[int, list[tuple[int, Vertex, int]]] = {}
-    for a, path in enumerate(paths):
-        steps = path.steps
-        found = extract_usages(steps, graph)
-        usages[a] = [ElevatorUsage(a, u.elevator, u.t_s, u.l_s, u.l_g, u.t_floor) for u in found]
-        presences[a] = _door_presences(steps, graph)
+    if rides is None:
+        rides = RideSummaries(graph)
+    summaries = [rides.get(a, path) for a, path in enumerate(paths)]
+    usages = [s[0] for s in summaries]
+    presences = [s[1] for s in summaries]
 
     conflicts: list[ElevatorConflict] = []
     agents = range(len(paths))
@@ -164,6 +190,8 @@ def detect_elevator_conflicts(paths, graph: MultiFloorGraph,
                         conflicts.append(ElevatorConflict(
                             "boarding", i, j, u_i.elevator,
                             max(u_i.t_s, u_j.t_s), u_i, u_j))
+                if not presences[j]:
+                    continue
                 own = {u.elevator: u for u in usages[j]}
                 for k, v, t in presences[j]:
                     if k != u_i.elevator:

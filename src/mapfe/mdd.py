@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .elevator import ElevatorUsage, usages_overlap
 from .model import Agent, MultiFloorGraph, Vertex
-from .sipp import ConstraintSet, Path, _Heuristic
+from .sipp import INF, ConstraintSet, Path, _Heuristic
 
 CARDINAL = "cardinal"
 SEMI_CARDINAL = "semi-cardinal"
@@ -72,8 +72,10 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
     DAG. Forward timed reachability is intersected with backward
     completability, so every kept node sits on a root-to-goal path of cost
     exactly d (an arrival at d, not a goal wait). `heuristic` is the
-    agent's `sipp.cost_to_go`, built here when not given."""
+    agent's `sipp.cost_to_go`, built here when not given; grid moves come
+    from its index."""
     heur = heuristic if heuristic is not None else _Heuristic(agent, graph)
+    moves = heur.index.moves
     goal_bans = constraints.vertex_bans.get(agent.goal, ())
     if any(hi >= d for _, hi in goal_bans):
         return MddE(agent, d, {}, {}, graph)  # parking at the goal is blocked
@@ -100,8 +102,9 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
             if _mid_ride(n, agent, graph):
                 continue  # the forced ride chain was added at boarding time
             rode = n.elevator != -1
-            for u in [n.vertex] + _grid_moves(graph, n.vertex):
-                if heur.value(u, rode) > d - (t + 1):
+            table = heur.table(n.vertex.floor, rode)  # waits and moves stay on the floor
+            for u in (n.vertex, *moves.get(n.vertex, ())):
+                if table.get(u, INF) > d - (t + 1):
                     continue
                 if constraints.vertex_banned(u, t + 1):
                     continue
@@ -148,15 +151,6 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
         if kept:
             final_edges[src] = kept
     return MddE(agent, d, final_levels, final_edges, graph)
-
-
-def _grid_moves(graph: MultiFloorGraph, v: Vertex) -> list[Vertex]:
-    grid = graph.grid(v.floor)
-    out = []
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        if grid.passable(v.x + dx, v.y + dy):
-            out.append(Vertex(v.floor, v.x + dx, v.y + dy))
-    return out
 
 
 def _add_ride(agent, graph, constraints, e, n: MddENode, d: int, add) -> None:

@@ -4,6 +4,11 @@ Search states are (vertex, safe-interval index, rode-elevator flag); waits
 are implicit inside intervals. Boarding bans apply to the instant a ride
 starts (standing at a door stays legal), and a returned path parks at the
 goal forever, so an arrival is only accepted in the goal's last interval.
+
+Grid moves and heuristic distances come from a `GridIndex`, which a solve
+builds once and shares through its agents' heuristics: each vertex's
+4-neighbours, and one BFS distance field per source, so the field of an
+elevator door is computed once however many agents start on its floor.
 """
 from __future__ import annotations
 
@@ -107,60 +112,97 @@ class Path:
         return self.steps[-1][0]
 
 
+class GridIndex:
+    """One solve's view of the grids: each passable vertex's 4-neighbours as
+    shared `Vertex` objects, in `(1,0),(-1,0),(0,1),(0,-1)` order, and the
+    single-floor BFS distance field of every source asked for, computed
+    once. It lives for one solve only: parsed graphs carry no table, and
+    callers that keep many graphs alive pay for none."""
+
+    def __init__(self, graph: MultiFloorGraph):
+        self.moves: dict[Vertex, tuple[Vertex, ...]] = {}
+        for floor in range(1, graph.floors + 1):
+            grid = graph.grid(floor)
+            cells = {(x, y): Vertex(floor, x, y) for y in range(grid.height)
+                     for x in range(grid.width) if (x, y) not in grid.blocked}
+            at = cells.get
+            for (x, y), v in cells.items():
+                self.moves[v] = tuple([u for u in (at((x + 1, y)), at((x - 1, y)),
+                                                   at((x, y + 1)), at((x, y - 1)))
+                                       if u is not None])
+        self.fields: dict[Vertex, dict[Vertex, int]] = {}
+
+    def distances(self, source: Vertex) -> dict[Vertex, int]:
+        """BFS distances from source to every vertex of its floor it reaches.
+        The field is shared by every caller: do not modify it."""
+        dist = self.fields.get(source)
+        if dist is None:
+            moves = self.moves
+            dist = self.fields[source] = {source: 0}
+            frontier = [source]
+            d = 0
+            while frontier:
+                d += 1
+                nxt = []
+                for v in frontier:
+                    for u in moves.get(v, ()):
+                        if u not in dist:
+                            dist[u] = d
+                            nxt.append(u)
+                frontier = nxt
+        return dist
+
+
+_NO_TABLE: dict[Vertex, float] = {}
+
+
 class _Heuristic:
     """Exact unconstrained cost-to-go: same-floor grid distance, or walk to
     the best door, ride, and walk on the goal floor. It ignores constraints,
-    so one instance serves every plan and MDD-E of its agent in a solve."""
+    so one instance serves every plan and MDD-E of its agent in a solve.
+    Its distance fields come from `index`, which the agents of a solve
+    share, so each door's field is computed once for all of them."""
 
-    def __init__(self, agent: Agent, graph: MultiFloorGraph):
-        self.agent = agent
-        self.graph = graph
-        self.post = _grid_bfs(graph, agent.goal)
-        self.pre: dict[tuple[int, int], float] = {}
+    def __init__(self, agent: Agent, graph: MultiFloorGraph, index: GridIndex | None = None):
+        self.index = index if index is not None else GridIndex(graph)
+        self.goal_floor = agent.goal_floor
+        self.start_floor = agent.start_floor
+        self.post: dict[Vertex, float] = self.index.distances(agent.goal)
+        self.pre: dict[Vertex, float] = _NO_TABLE
         if agent.start_floor != agent.goal_floor:
-            best: dict[tuple[int, int], float] = {}
+            best: dict[Vertex, float] = {}
             for e in graph.elevators:
-                door_start = Vertex(agent.start_floor, e.cell[0], e.cell[1])
                 ride = abs(agent.start_floor - agent.goal_floor) * e.t_floor
-                tail = self.post.get(e.cell, INF) + ride
+                tail = self.post.get(Vertex(agent.goal_floor, e.cell[0], e.cell[1]), INF) + ride
                 if tail == INF:
                     continue
-                from_door = _grid_bfs(graph, door_start)
-                for cell, d in from_door.items():
+                door_start = Vertex(agent.start_floor, e.cell[0], e.cell[1])
+                for v, d in self.index.distances(door_start).items():
                     val = d + tail
-                    if val < best.get(cell, INF):
-                        best[cell] = val
+                    if val < best.get(v, INF):
+                        best[v] = val
             self.pre = best
 
+    def table(self, floor: int, rode: bool) -> dict[Vertex, float]:
+        """Cost-to-go of the vertices of one floor in one ride state; a
+        vertex missing from it cannot reach the goal."""
+        if floor == self.goal_floor:
+            return self.post
+        if not rode and floor == self.start_floor:
+            return self.pre
+        return _NO_TABLE
+
     def value(self, v: Vertex, rode: bool) -> float:
-        if v.floor == self.agent.goal_floor:
-            return self.post.get((v.x, v.y), INF)
-        if not rode and v.floor == self.agent.start_floor:
-            return self.pre.get((v.x, v.y), INF)
-        return INF
+        return self.table(v.floor, rode).get(v, INF)
 
 
-def _grid_bfs(graph: MultiFloorGraph, source: Vertex) -> dict[tuple[int, int], int]:
-    """Single-floor BFS distances from source over unit grid moves."""
-    grid = graph.grid(source.floor)
-    dist = {(source.x, source.y): 0}
-    frontier = [(source.x, source.y)]
-    while frontier:
-        nxt = []
-        for x, y in frontier:
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                nx, ny = x + dx, y + dy
-                if grid.passable(nx, ny) and (nx, ny) not in dist:
-                    dist[(nx, ny)] = dist[(x, y)] + 1
-                    nxt.append((nx, ny))
-        frontier = nxt
-    return dist
-
-
-def cost_to_go(agent: Agent, graph: MultiFloorGraph) -> _Heuristic:
+def cost_to_go(agent: Agent, graph: MultiFloorGraph, index: GridIndex | None = None) -> _Heuristic:
     """The agent's unconstrained heuristic, for callers that plan or build
-    MDD-Es for the agent many times."""
-    return _Heuristic(agent, graph)
+    MDD-Es for the agent many times; `index` is the solve's `GridIndex`."""
+    return _Heuristic(agent, graph, index)
+
+
+_ALWAYS_SAFE: tuple[Interval, ...] = ((0, INF),)
 
 
 def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
@@ -168,22 +210,19 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
     """Minimum-cost constrained path for one agent, or None when no path
     satisfies the constraints. Ties break on (f, larger g, vertex order);
     waits in the result are retimed toward the start when legal.
-    `heuristic` is the agent's `cost_to_go`, built here when not given."""
+    `heuristic` is the agent's `cost_to_go`, built here when not given;
+    grid moves come from its index."""
     heur = heuristic if heuristic is not None else _Heuristic(agent, graph)
     if heur.value(agent.start, False) == INF:
         return None
     horizon = (graph.num_free_vertices() + constraints.max_end()
                + (graph.floors - 1) * max([e.t_floor for e in graph.elevators] or [0]) + 1)
+    moves = heur.index.moves
+    edge_bans = constraints.edge_bans
+    # vertices without bans share one interval list
+    safe = {v: safe_intervals(v, constraints) for v in constraints.vertex_bans}
 
-    si_cache: dict[Vertex, list[Interval]] = {}
-
-    def intervals_of(v: Vertex) -> list[Interval]:
-        ivs = si_cache.get(v)
-        if ivs is None:
-            ivs = si_cache[v] = safe_intervals(v, constraints)
-        return ivs
-
-    start_ivs = intervals_of(agent.start)
+    start_ivs = safe.get(agent.start, _ALWAYS_SAFE)
     start_idx = next((i for i, (lo, hi) in enumerate(start_ivs) if lo <= 0 <= hi), None)
     if start_idx is None:
         return None
@@ -195,38 +234,37 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
     heap: list[tuple] = [(h0, 0, agent.start, start_idx, False, 0)]
     cross = agent.start_floor != agent.goal_floor
 
+    def relax(state: tuple, ustate: tuple, arr: int, h_u: float, dep: int, kind: str,
+              elevator) -> None:
+        if arr < best.get(ustate, INF):
+            best[ustate] = arr
+            parent[ustate] = (state, dep, kind, elevator)
+            heapq.heappush(heap, (arr + h_u, -arr, *ustate, next(counter)))
+
     while heap:
         f, neg_g, v, idx, rode, _ = heapq.heappop(heap)
         g = -neg_g
         state = (v, idx, rode)
         if best.get(state, -1) != g or g > horizon:
             continue
-        if v == agent.goal and idx == len(intervals_of(v)) - 1:
+        ivs = safe.get(v, _ALWAYS_SAFE)
+        if v == agent.goal and idx == len(ivs) - 1:
             return _reconstruct(agent, graph, constraints, parent, state, g)
-        cur_hi = intervals_of(v)[idx][1]
+        cur_hi = ivs[idx][1]
 
-        def relax(ustate: tuple, arr: int, h_u: float, dep: int, kind: str, elevator) -> None:
-            if arr < best.get(ustate, INF):
-                best[ustate] = arr
-                parent[ustate] = (state, dep, kind, elevator)
-                heapq.heappush(heap, (arr + h_u, -arr, *ustate, next(counter)))
-
-        grid = graph.grid(v.floor)
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nx, ny = v.x + dx, v.y + dy
-            if not grid.passable(nx, ny):
-                continue
-            u = Vertex(v.floor, nx, ny)
-            h_u = heur.value(u, rode)
+        table = heur.table(v.floor, rode)  # grid moves stay on v's floor
+        for u in moves.get(v, ()):
+            h_u = table.get(u, INF)
             if h_u == INF:
                 continue
-            for uidx, (lo, hi) in enumerate(intervals_of(u)):
+            for uidx, (lo, hi) in enumerate(safe.get(u, _ALWAYS_SAFE)):
                 dep = max(g, lo - 1)
-                while (v, u, dep) in constraints.edge_bans:
-                    dep += 1
+                if edge_bans:
+                    while (v, u, dep) in edge_bans:
+                        dep += 1
                 if dep > cur_hi or dep + 1 > hi:
                     continue
-                relax((u, uidx, rode), dep + 1, h_u, dep, "move", None)
+                relax(state, (u, uidx, rode), dep + 1, h_u, dep, "move", None)
 
         if cross and not rode:
             e = graph.elevator_at(v)
@@ -237,13 +275,13 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
                 step = 1 if agent.goal_floor > v.floor else -1
                 inner = [(Vertex(fl, e.cell[0], e.cell[1]), abs(fl - v.floor) * e.t_floor)
                          for fl in range(v.floor + step, agent.goal_floor, step)]
-                for tidx, (lo, hi) in enumerate(intervals_of(target) if h_t < INF else ()):
+                for tidx, (lo, hi) in enumerate(safe.get(target, _ALWAYS_SAFE) if h_t < INF else ()):
                     dep = max(g, lo - t_o)
                     dep_hi = min(cur_hi, hi - t_o)
                     while dep <= dep_hi:
                         bumped = _board_violation(constraints, e.id, v.floor, inner, dep)
                         if bumped is None:
-                            relax((target, tidx, True), dep + t_o, h_t, dep, "board", e.id)
+                            relax(state, (target, tidx, True), dep + t_o, h_t, dep, "board", e.id)
                             break
                         dep = max(dep + 1, bumped)
     return None

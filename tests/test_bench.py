@@ -49,6 +49,16 @@ def test_parse_config_rejects_unknown_keys_and_double_axis():
         parse_config("variants = cbs,fast\n")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"floors": 0}, {"tfloor": 0}, {"agents": 0}, {"agents": -1},
+    {"floors": [2, 0]}, {"tfloor": [1, -3]}, {"agents": [2, 0, 3]},
+])
+def test_config_rejects_counts_below_one(kwargs):
+    key = next(iter(kwargs))
+    with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+        ExperimentConfig(**kwargs)
+
+
 def test_axis_can_be_floors_or_tfloor():
     cfg = parse_config("agents = 4\nfloors = 2,3,4\n")
     assert cfg.axis == "floors"

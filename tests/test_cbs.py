@@ -185,6 +185,15 @@ def test_timeout_is_reported():
     assert result.solution is None and result.stats.solved is False
 
 
+def test_time_limit_must_be_a_positive_number():
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="time_limit"):
+            SolverConfig(time_limit=bad)
+    g = parse_map("type mapf-e\nfloors 1\nheight 1\nwidth 2\ntfloor 1\n..\n")
+    inst = parse_scenario("1 0 0 1 0 0\n", g)
+    assert solve(inst, SolverConfig(time_limit=float("inf"))).status == "solved"
+
+
 def test_infeasible_when_an_agent_is_walled_in():
     g = parse_map("type mapf-e\nfloors 1\nheight 1\nwidth 3\ntfloor 1\n.@.\n")
     inst = parse_scenario("1 0 0 1 2 0\n", g)

@@ -27,6 +27,9 @@ def test_solve_prints_cost_paths_and_stats(golden_files, capsys):
     assert lines[2].startswith("agent 1: (3,0,0)@0")
     assert lines[3].startswith("stats expanded=")
     assert "mdd_builds=" in lines[3] and "mdd_reuses=" in lines[3]
+    # one field per goal, plus the door field of each agent's start floor
+    fields = lines[3].split()
+    assert fields[-2].startswith("mdd_reuses=") and fields[-1] == "distance_fields=4"
 
 
 def test_solve_validate_round_trip(golden_files, tmp_path, capsys):
@@ -174,3 +177,49 @@ def test_usage_errors_exit_3(capsys):
 def test_unreadable_input_is_invalid(tmp_path, capsys):
     missing = tmp_path / "nope.map"
     assert main(["solve", "--map", str(missing), "--scen", str(missing)]) == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--floors", "0"], "error: floors must be >= 1"),
+    (["--tfloor", "0"], "error: tfloor must be >= 1"),
+    (["--agents", "-1"], "error: agents must be >= 1"),
+    (["--agents", "0"], "error: agents must be >= 1"),
+    (["--size", "2", "--elevators", "1", "--agents", "20"],
+     "error: not enough free cells for 20 agents"),
+])
+def test_gen_reports_bad_counts_without_a_traceback(tmp_path, capsys, flags, message):
+    code = main(["gen", *flags, "--out-map", str(tmp_path / "g.map"),
+                 "--out-scen", str(tmp_path / "g.scen")])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not (tmp_path / "g.map").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "abc"])
+def test_bad_time_limit_is_a_usage_error(golden_files, capsys, value):
+    map_path, scen_path = golden_files
+    code = main(["solve", "--map", str(map_path), "--scen", str(scen_path),
+                 "--time-limit", value])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --time-limit" in captured.err
+
+
+def test_infinite_time_limit_means_no_limit(golden_files, capsys):
+    map_path, scen_path = golden_files
+    code = main(["solve", "--map", str(map_path), "--scen", str(scen_path),
+                 "--time-limit", "inf"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("soc 9")
+
+
+@pytest.mark.parametrize("value", ["-5", "1.5"])
+def test_bad_oracle_horizon_is_a_usage_error(golden_files, capsys, value):
+    map_path, scen_path = golden_files
+    code = main(["oracle", "--map", str(map_path), "--scen", str(scen_path),
+                 "--horizon", value])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --horizon" in captured.err

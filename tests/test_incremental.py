@@ -138,9 +138,9 @@ def test_solver_builds_one_heuristic_per_agent(monkeypatch):
     built = []
     heuristic = sipp._Heuristic
 
-    def counting(agent, graph):
+    def counting(agent, graph, index):
         built.append(agent.id)
-        return heuristic(agent, graph)
+        return heuristic(agent, graph, index)
 
     monkeypatch.setattr(sipp, "_Heuristic", counting)
     cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
@@ -179,8 +179,8 @@ from mapfe.model import parse_map, parse_scenario
 
 full_scan = cbs.enumerate_conflicts
 
-def dropping(paths, graph, agent=None):
-    found = full_scan(paths, graph, agent)
+def dropping(paths, graph, agent=None, rides=None):
+    found = full_scan(paths, graph, agent, rides)
     return found[1:] if agent is not None else found
 
 cbs.enumerate_conflicts = dropping
