@@ -19,8 +19,6 @@ from .elevator import (
     detect_elevator_conflicts,
     ec_constraints,
     occupancy_constraints,
-    reset_duration,
-    ride_duration,
     usages_overlap,
 )
 from .mdd import MddE, MddENode, MddSizeExceeded, build_joint, build_mdd_e, classify, find_bypass

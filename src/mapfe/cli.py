@@ -215,6 +215,9 @@ def _cmd_validate(args) -> int:
 def _cmd_oracle(args) -> int:
     instance = _load_instance(args.map, args.scen)
     result = oracle_solve(instance, horizon=args.horizon)
+    if result.status == "unknown":
+        print("unknown within horizon")
+        return EXIT_TIMEOUT
     if result.status != "solved":
         print("infeasible")
         return EXIT_INFEASIBLE

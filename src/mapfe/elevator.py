@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Elevator, MultiFloorGraph, Vertex
+from .model import MultiFloorGraph, Vertex
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,25 +54,10 @@ class ElevatorConflict:
     usage_j: ElevatorUsage | None = None  # boarding variant only
     vertex: Vertex | None = None          # occupancy variant only
 
-    @property
-    def floor(self) -> int:
-        assert self.vertex is not None
-        return self.vertex.floor
-
     def sort_key(self) -> tuple:
         kind_rank = 0 if self.kind == "boarding" else 1
         return (self.time, min(self.i, self.j), max(self.i, self.j), kind_rank,
                 self.elevator, self.vertex or Vertex(0, 0, 0))
-
-
-def ride_duration(k: Elevator, l_a: int, l_b: int) -> int:
-    """Time for elevator k to carry an agent from floor l_a to l_b."""
-    return abs(l_a - l_b) * k.t_floor
-
-
-def reset_duration(k: Elevator, l_exit: int, l_next_board: int) -> int:
-    """Empty travel time from a drop-off floor to the next boarding floor."""
-    return abs(l_exit - l_next_board) * k.t_floor
 
 
 def busy_interval(u: ElevatorUsage, next_floor: int) -> tuple[int, int]:
@@ -230,8 +215,7 @@ def occupancy_constraints(c: ElevatorConflict) -> tuple[tuple[int, Vertex, int],
     """
     assert c.kind == "occupancy" and c.vertex is not None
     u = c.usage_i
-    delta = abs(u.l_g - c.vertex.floor) * u.t_floor
-    lo = max(0, c.time - u.t_o - delta)
+    lo, hi = busy_interval(u, c.vertex.floor)  # a boarding at b is busy until b + hi - lo
     branch_a = (c.j, c.vertex, c.time)
-    branch_b = (c.i, u.elevator, u.l_s, (lo, c.time))
+    branch_b = (c.i, u.elevator, u.l_s, (max(0, c.time - (hi - lo)), c.time))
     return branch_a, branch_b

@@ -13,15 +13,21 @@ cost-d path commits that agent's side of the conflict (`_unavoidable`, the
 ICBS width-1 test widened to elevator conflicts); only the other sides are
 searched in the joint product, which expands pairs on demand and stops as
 soon as a search frontier dies.
+
+A joint component is a plain `MddENode`, read together with the level t it
+sits at: node.time == t stands on node.vertex, node.time < t is parked at
+the goal, and node.time > t is inside a shaft riding toward the node
+(`_vertex_at`). Every busy window comes from `elevator.busy_interval` and
+`usages_overlap`, applied to the node's ride (`MddE.ride`).
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .elevator import ElevatorUsage, usages_overlap
-from .model import Agent, MultiFloorGraph, Vertex
+from .elevator import ElevatorUsage, busy_interval, usages_overlap
+from .model import Agent, MultiFloorGraph, Vertex, ride_visits
 from .sipp import INF, ConstraintSet, Path, _Heuristic
 
 CARDINAL = "cardinal"
@@ -48,6 +54,8 @@ class MddE:
     levels: dict[int, tuple[MddENode, ...]]
     edges: dict[MddENode, tuple[MddENode, ...]]
     graph: MultiFloorGraph
+    rides: dict[tuple[int, int], ElevatorUsage] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def empty(self) -> bool:
@@ -56,6 +64,18 @@ class MddE:
     @property
     def root(self) -> MddENode:
         return self.levels[0][0]
+
+    def ride(self, node: MddENode) -> ElevatorUsage:
+        """The ride a boarded node carries, from the agent's start floor to
+        its goal floor."""
+        key = (node.elevator, node.board_time)
+        u = self.rides.get(key)
+        if u is None:
+            a = self.agent
+            u = self.rides[key] = ElevatorUsage(
+                a.id, node.elevator, node.board_time, a.start_floor, a.goal_floor,
+                self.graph.elevators[node.elevator].t_floor)
+        return u
 
 
 def _mid_ride(node: MddENode, agent: Agent, graph: MultiFloorGraph) -> bool:
@@ -155,21 +175,14 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
 
 def _add_ride(agent, graph, constraints, e, n: MddENode, d: int, add) -> None:
     dep = n.time
-    t_o = abs(agent.goal_floor - n.vertex.floor) * e.t_floor
-    if dep + t_o > d:
+    visits = ride_visits(graph, e.id, n.vertex.floor, agent.goal_floor, dep)
+    if visits[-1][1] > d or constraints.boarding_banned(e.id, n.vertex.floor, dep):
         return
-    if constraints.boarding_banned(e.id, n.vertex.floor, dep):
+    if any(constraints.vertex_banned(door, t) for door, t in visits):
         return
-    step = 1 if agent.goal_floor > n.vertex.floor else -1
-    chain = []
-    for fl in range(n.vertex.floor + step, agent.goal_floor + step, step):
-        door = Vertex(fl, e.cell[0], e.cell[1])
-        t = dep + abs(fl - n.vertex.floor) * e.t_floor
-        if constraints.vertex_banned(door, t):
-            return
-        chain.append(MddENode(door, t, e.id, dep))
     prev = n
-    for m in chain:
+    for door, t in visits:
+        m = MddENode(door, t, e.id, dep)
         add(prev, m)
         prev = m
 
@@ -230,21 +243,11 @@ class MddECache:
 # joint MDD-E
 # ---------------------------------------------------------------------------
 
-def _is_shaft(comp) -> bool:
-    return isinstance(comp, tuple) and not isinstance(comp, MddENode)
-
-
-def _usage_of(comp) -> tuple[int, int]:
-    node = comp[1] if _is_shaft(comp) else comp
-    return node.elevator, node.board_time
-
-
-def _vertex_of(comp) -> Vertex | None:
-    return None if _is_shaft(comp) else comp.vertex
-
-
-def _comp_key(comp):
-    return ("zz", comp[1]) if _is_shaft(comp) else ("n", comp)
+def _vertex_at(node: MddENode, t: int) -> Vertex | None:
+    """Where a joint component puts its agent at level t: on the node's
+    vertex, parked at the goal once the node lies in the past, or nowhere
+    (None) while riding the shaft toward a node still ahead."""
+    return node.vertex if node.time <= t else None
 
 
 class _Trans(NamedTuple):
@@ -256,53 +259,41 @@ class _Trans(NamedTuple):
     board_ts: int
 
 
-def _comp_succs(mdd: MddE, comp, t: int) -> list[tuple[object, _Trans]]:
-    if _is_shaft(comp):
-        target: MddENode = comp[1]
-        if target.time == t + 1:
-            return [(target, _Trans(None, target.vertex, -1))]
-        return [(comp, _Trans(None, None, -1))]
-    n: MddENode = comp
+def _comp_succs(mdd: MddE, n: MddENode, t: int) -> list[tuple[MddENode, _Trans]]:
+    if n.time > t:  # in the shaft
+        return [(n, _Trans(None, _vertex_at(n, t + 1), -1))]
     if n.time < t or n.time == mdd.d:
         return [(n, _Trans(n.vertex, n.vertex, -1))]  # parked at the goal
-    out: list[tuple[object, _Trans]] = []
+    out: list[tuple[MddENode, _Trans]] = []
     for m in mdd.edges.get(n, ()):
         if m.vertex.floor == n.vertex.floor:
             out.append((m, _Trans(n.vertex, m.vertex, -1)))
         else:
             board_ts = m.board_time if n.elevator == -1 else -1
-            succ = m if m.time == t + 1 else ("shaft", m)
-            out.append((succ, _Trans(n.vertex, _vertex_of(succ), board_ts)))
+            out.append((m, _Trans(n.vertex, _vertex_at(m, t + 1), board_ts)))
     return out
 
 
-def _ride_span(mdd: MddE, k: int, ts: int) -> tuple[int, int]:
-    e = mdd.graph.elevators[k]
-    t_o = abs(mdd.agent.start_floor - mdd.agent.goal_floor) * e.t_floor
-    return ts, ts + t_o
-
-
-def _door_window_hit(mdd_x: MddE, comp_x, mdd_y: MddE, comp_y, t: int) -> bool:
+def _door_window_hit(mdd_x: MddE, comp_x: MddENode, mdd_y: MddE, comp_y: MddENode,
+                     t: int) -> bool:
     """Is y's component standing at a door of x's elevator inside x's busy
     window at time t? Presences inside y's own ride of the same elevator are
     the rider-vs-rider case, handled by the boarding-overlap check."""
-    k_x, ts_x = _usage_of(comp_x)
+    k_x = comp_x.elevator
     if k_x == -1:
         return False
-    v_y = _vertex_of(comp_y)
+    v_y = _vertex_at(comp_y, t)
     if v_y is None:
         return False
     e = mdd_x.graph.elevator_at(v_y)
     if e is None or e.id != k_x:
         return False
-    k_y, ts_y = _usage_of(comp_y)
-    if k_y == k_x and ts_y != -1:
-        lo, hi = _ride_span(mdd_y, k_y, ts_y)
-        if lo <= t <= hi:
+    if comp_y.elevator == k_x:
+        own = mdd_y.ride(comp_y)
+        if own.t_s <= t <= own.t_g:
             return False
-    ts, t_g = _ride_span(mdd_x, k_x, ts_x)
-    delta = abs(mdd_x.agent.goal_floor - v_y.floor) * e.t_floor
-    return ts <= t <= t_g + delta
+    lo, hi = busy_interval(mdd_x.ride(comp_x), v_y.floor)
+    return lo <= t <= hi
 
 
 @dataclass
@@ -321,7 +312,7 @@ class JointMddE:
     mdd_a: MddE
     mdd_b: MddE
     t_end: int
-    levels: dict[int, list[tuple]]
+    levels: dict[int, list[tuple[MddENode, MddENode]]]
     adj: dict[tuple[int, tuple], list[tuple[tuple, _Trans, _Trans]]]
     elevator_aware: bool
     node_cap: int = 200_000
@@ -358,7 +349,7 @@ class JointMddE:
                 continue
             nxt = {succ: None for pair in levels[t] for succ, _, _ in self.successors(t, pair)}
             if nxt:
-                levels[t + 1] = sorted(nxt, key=lambda p: (_comp_key(p[0]), _comp_key(p[1])))
+                levels[t + 1] = sorted(nxt)
         return levels
 
     @property
@@ -366,7 +357,7 @@ class JointMddE:
         return bool(self.all_levels().get(self.t_end))
 
     def vertex_pairs(self, t: int) -> set[tuple[Vertex | None, Vertex | None]]:
-        return {(_vertex_of(a), _vertex_of(b)) for a, b in self.all_levels().get(t, ())}
+        return {(_vertex_at(a, t), _vertex_at(b, t)) for a, b in self.all_levels().get(t, ())}
 
 
 def build_joint(mdd_a: MddE, mdd_b: MddE, elevator_aware: bool = True,
@@ -374,7 +365,7 @@ def build_joint(mdd_a: MddE, mdd_b: MddE, elevator_aware: bool = True,
     """The joint MDD-E of two agents with only its root level in place;
     pairs are expanded as searches reach them."""
     t_end = max(mdd_a.d, mdd_b.d)
-    levels: dict[int, list[tuple]] = {}
+    levels: dict[int, list[tuple[MddENode, MddENode]]] = {}
     if not (mdd_a.empty or mdd_b.empty or mdd_a.root.vertex == mdd_b.root.vertex):
         levels[0] = [(mdd_a.root, mdd_b.root)]
     return JointMddE(mdd_a, mdd_b, t_end, levels, {}, elevator_aware, node_cap)
@@ -382,22 +373,17 @@ def build_joint(mdd_a: MddE, mdd_b: MddE, elevator_aware: bool = True,
 
 def _pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra: _Trans, trb: _Trans,
                     t: int, elevator_aware: bool) -> bool:
-    va, vb = _vertex_of(sa), _vertex_of(sb)
-    if va is not None and va == vb:
+    va = _vertex_at(sa, t + 1)
+    if va is not None and va == _vertex_at(sb, t + 1):
         return True  # vertex conflict at t+1
     if (tra.u is not None and tra.w is not None and trb.u is not None and trb.w is not None
             and tra.u == trb.w and tra.w == trb.u and tra.u != tra.w):
         return True  # swap
     if not elevator_aware:
         return False
-    k_a, ts_a = _usage_of(sa)
-    k_b, ts_b = _usage_of(sb)
-    if k_a != -1 and k_a == k_b:
-        e = mdd_a.graph.elevators[k_a]
-        u_a = ElevatorUsage(0, k_a, ts_a, mdd_a.agent.start_floor, mdd_a.agent.goal_floor, e.t_floor)
-        u_b = ElevatorUsage(1, k_b, ts_b, mdd_b.agent.start_floor, mdd_b.agent.goal_floor, e.t_floor)
-        if usages_overlap(u_a, u_b):
-            return True
+    if sa.elevator != -1 and sa.elevator == sb.elevator and usages_overlap(
+            mdd_a.ride(sa), mdd_b.ride(sb)):
+        return True
     if _door_window_hit(mdd_a, sa, mdd_b, sb, t + 1) or _door_window_hit(mdd_b, sb, mdd_a, sa, t + 1):
         return True
     # the instant a ride starts, the other agent must not stand at any door
@@ -413,24 +399,21 @@ def _pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra: _Trans, trb: _Trans,
 # conflict classification and bypass extraction
 # ---------------------------------------------------------------------------
 
-def _violates_node(conflict, agent_id: int, mdd: MddE, comp, t: int) -> bool:
+def _violates_node(conflict, agent_id: int, mdd: MddE, comp: MddENode, t: int) -> bool:
     """Does this component commit agent_id's side of the conflict?"""
     kind = conflict.kind
     if kind == "vertex":
-        return t == conflict.t and _vertex_of(comp) == conflict.v
+        return t == conflict.t and _vertex_at(comp, t) == conflict.v
     if kind == "boarding":
         want_ts = conflict.usage_i.t_s if agent_id == conflict.i else conflict.usage_j.t_s
-        k, ts = _usage_of(comp)
-        return k == conflict.elevator and ts == want_ts
+        return comp.elevator == conflict.elevator and comp.board_time == want_ts
     if kind == "occupancy":
         if agent_id == conflict.i:  # rider side: any boarding whose window covers the presence
-            k, ts = _usage_of(comp)
-            if k != conflict.elevator or ts == -1:
+            if comp.elevator != conflict.elevator:
                 return False
-            u = conflict.usage_i
-            delta = abs(u.l_g - conflict.vertex.floor) * u.t_floor
-            return ts <= conflict.time <= ts + u.t_o + delta
-        return t == conflict.time and _vertex_of(comp) == conflict.vertex
+            lo, hi = busy_interval(mdd.ride(comp), conflict.vertex.floor)
+            return lo <= conflict.time <= hi
+        return t == conflict.time and _vertex_at(comp, t) == conflict.vertex
     return False
 
 
@@ -524,7 +507,7 @@ def _comps_to_path(comps: list, mdd: MddE) -> Path:
     for t, comp in enumerate(comps):
         if t > mdd.d:
             break
-        if not _is_shaft(comp) and comp.time == t:
+        if comp.time == t:
             steps.append((comp.vertex, t))
     return Path(tuple(steps))
 

@@ -29,7 +29,7 @@ _IDLE = (-1, -1, -1, -1)
 
 @dataclass
 class OracleResult:
-    status: str  # solved | infeasible
+    status: str  # solved | infeasible | unknown (the horizon cut the search)
     g: int | None
     paths: tuple[Path, ...]
 
@@ -93,7 +93,9 @@ def oracle_solve(instance: Instance, horizon: int | None = None) -> OracleResult
     """Exact minimum sum of costs by exhaustive joint search (small N only).
     Boarding an elevator requires it idle and past the reset gap from its
     previous drop-off; standing at any of its doors during another agent's
-    ride or reset window is illegal."""
+    ride or reset window is illegal. States are not expanded past
+    `horizon`; when the search runs dry after cutting one, the status is
+    "unknown" rather than "infeasible"."""
     graph = instance.graph
     agents = instance.agents
     if not agents:
@@ -126,6 +128,7 @@ def oracle_solve(instance: Instance, horizon: int | None = None) -> OracleResult
     parent: dict[tuple, tuple | None] = {start: None}
     tick = itertools.count()
     heap = [(h0, next(tick), start, 0)]
+    cut = False
     while heap:
         f, _, state, g = heapq.heappop(heap)
         if best.get(state, -1) != g:
@@ -134,6 +137,7 @@ def oracle_solve(instance: Instance, horizon: int | None = None) -> OracleResult
         if all(s[0] == "done" for s in astates):
             return OracleResult("solved", g, _reconstruct(instance, parent, state))
         if clock >= horizon:
+            cut = True
             continue
         for succ, cost in _successors(instance, state):
             ng = g + cost
@@ -143,7 +147,7 @@ def oracle_solve(instance: Instance, horizon: int | None = None) -> OracleResult
                 hv = h(succ)
                 if hv < INF:
                     heapq.heappush(heap, (ng + hv, next(tick), succ, ng))
-    return OracleResult("infeasible", None, ())
+    return OracleResult("unknown" if cut else "infeasible", None, ())
 
 
 def _agent_moves(agent: Agent, graph: MultiFloorGraph, s: tuple, estates: tuple,

@@ -340,7 +340,7 @@ def _retime_late(path: Path, graph: MultiFloorGraph, constraints: ConstraintSet)
             continue
         if w.floor != v.floor:
             e = graph.elevator_at(v)
-            moves.append((v, w, tw - tv, "shaft", e.id))
+            moves.append((v, w, tw - tv, "ride", e.id))
         else:
             moves.append((v, w, 1, "move", None))
     if not moves:
@@ -369,7 +369,6 @@ def _retime_late(path: Path, graph: MultiFloorGraph, constraints: ConstraintSet)
                     return None
                 ride_open = True
             steps.append((w, dep + dur))
-    for v, t in steps:
-        if constraints.vertex_banned(v, t):
-            return None
+    if constraints.vertex_bans and any(constraints.vertex_banned(v, t) for v, t in steps):
+        return None
     return Path(tuple(steps))

@@ -166,6 +166,17 @@ def test_infeasible_exit_code(tmp_path, capsys):
     assert main(["oracle", "--map", str(map_path), "--scen", str(scen_path)]) == 1
 
 
+def test_oracle_horizon_exhausted_exit_code(tmp_path, capsys):
+    map_path = tmp_path / "swap.map"
+    scen_path = tmp_path / "swap.scen"
+    map_path.write_text("type mapf-e\nfloors 1\nheight 1\nwidth 2\ntfloor 1\n..\n")
+    scen_path.write_text("1 0 0 1 1 0\n1 1 0 1 0 0\n")
+    code = main(["oracle", "--map", str(map_path), "--scen", str(scen_path),
+                 "--horizon", "6"])
+    assert code == 2
+    assert capsys.readouterr().out.strip() == "unknown within horizon"
+
+
 def test_usage_errors_exit_3(capsys):
     assert main(["solve", "--map"]) == 3
     assert main(["frobnicate"]) == 3

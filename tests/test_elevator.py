@@ -9,11 +9,9 @@ from mapfe.elevator import (
     detect_elevator_conflicts,
     ec_constraints,
     occupancy_constraints,
-    reset_duration,
-    ride_duration,
     usages_overlap,
 )
-from mapfe.model import Elevator, Vertex, parse_map, parse_scenario
+from mapfe.model import Vertex, parse_map, parse_scenario
 from mapfe.sipp import ConstraintSet, plan
 
 from conftest import TWO_FLOOR_CORRIDOR
@@ -22,18 +20,6 @@ from reference import replay_elevator_conflicts
 
 def usage(agent, k, t_s, l_s, l_g, t_floor):
     return ElevatorUsage(agent, k, t_s, l_s, l_g, t_floor)
-
-
-def test_ride_duration():
-    assert ride_duration(Elevator(0, (0, 0), 3), 1, 1) == 0
-    assert ride_duration(Elevator(0, (0, 0), 3), 1, 2) == 3
-    assert ride_duration(Elevator(0, (0, 0), 1), 1, 2) == 1
-
-
-def test_reset_duration():
-    assert reset_duration(Elevator(0, (0, 0), 1), 2, 1) == 1
-    assert reset_duration(Elevator(0, (0, 0), 3), 5, 5) == 0
-    assert reset_duration(Elevator(0, (0, 0), 3), 1, 5) == 12
 
 
 def test_busy_interval():

@@ -119,10 +119,15 @@ def test_paths_match_enumeration_on_random_cases():
 
 
 def test_joint_levels_match_pairwise_enumeration(corridor2, flat3):
+    # three floors with tfloor 2: the first agent spends levels inside the
+    # shaft while the second walks past the door floor
+    shaft3 = parse_map("type mapf-e\nfloors 3\nheight 2\nwidth 3\ntfloor 2\n"
+                       + ".E.\n...\n" * 3)
     cases = [
         (corridor2, "1 0 0 2 3 0", "1 4 0 2 0 0", 4, 5),
         (corridor2, "1 0 0 2 3 0", "1 4 0 2 0 0", 5, 5),
         (flat3, "1 0 0 1 2 2", "1 2 0 1 0 2", 4, 4),
+        (shaft3, "1 0 0 3 2 1", "2 2 1 2 0 1", 8, 2),
     ]
     for g, line_i, line_j, d_i, d_j in cases:
         inst = parse_scenario(line_i + "\n" + line_j + "\n", g)
@@ -135,15 +140,18 @@ def test_joint_levels_match_pairwise_enumeration(corridor2, flat3):
         got = {}
         for t, pairs in joint.all_levels().items():
             for ca, cb in pairs:
-                got.setdefault(t, set()).add((_as_state(ca), _as_state(cb)))
+                got.setdefault(t, set()).add((_as_state(ca, t), _as_state(cb, t)))
         assert got == expected, (line_i, line_j, d_i, d_j)
+    # the last case is complete and passes through in-shaft components
+    assert joint.complete and len(joint.all_levels()) == 9
+    assert sum(c.time > t for t, pairs in joint.all_levels().items()
+               for pair in pairs for c in pair) == 4
 
 
-def _as_state(comp):
-    if isinstance(comp, MddENode):
+def _as_state(comp, t):
+    if comp.time <= t:
         return ("n", comp.vertex, comp.elevator, comp.board_time)
-    target = comp[1]
-    return ("s", None, target.elevator, target.board_time)
+    return ("s", None, comp.elevator, comp.board_time)
 
 
 def test_padding_parks_the_finished_agent():
