@@ -15,7 +15,11 @@ per (agent, cost, constraint set) and kept for the rest of the solve
 (`mdd.MddECache`), and each path's rides and door presences are extracted
 once (`elevator.RideSummaries`). A child replans one agent, so it keeps
 its parent's conflicts that do not involve that agent and rescans only
-that agent against the others.
+that agent against the others. It also keeps the other agents'
+constraint sets, and so their MDD-Es: a conflict's label and bypass depend
+only on the two MDD-Es and the conflict, so each is computed once per
+solve and memoised under that triple. The memo holds labels and bypass
+paths, never a joint MDD-E; a joint lives for one expansion.
 Invariant: every CT node's conflict list equals `enumerate_conflicts` over
 its paths, in `_conflict_key` order, which is a total order on a plan's
 conflicts. `validate` keeps the full scan and certifies every returned
@@ -109,6 +113,8 @@ class SolveStats:
     mdde_time_fraction: float = 0.0
     branchings: dict[str, int] = field(default_factory=dict)
     bypasses: int = 0
+    classify_calls: int = 0  # conflicts classified on their joint MDD-E
+    label_hits: int = 0  # conflict labels the solve's memo answered
     mdd_builds: int = 0  # MDD-Es built by the solve
     mdd_reuses: int = 0  # MDD-E requests the solve's memo answered
     distance_fields: int = 0  # grid BFS fields the solve computed
@@ -239,6 +245,11 @@ class _Solver:
         self.mdds = mdd_mod.MddECache(self.graph, self.agents, self.heuristics,
                                       config.mdd_node_cap)
         self.steps: dict[tuple[Vertex, int], tuple[Vertex, int]] = {}
+        # Both memos are keyed by `_memo_key`. A label entry holds the two
+        # constraint sets its key names by id, so no id is reused while the
+        # solve runs; every bypass key is also a label key.
+        self.labels: dict[tuple, tuple[str, ConstraintSet, ConstraintSet]] = {}
+        self.bypasses: dict[tuple, tuple[int, Path] | None] = {}
 
     def run(self) -> SolveResult:
         root = self._make_root()
@@ -324,10 +335,19 @@ class _Solver:
         self.stats.generated += 1
         return node
 
+    @staticmethod
+    def _memo_key(node: CTNode, c: Conflict) -> tuple:
+        """What a conflict's label and bypass depend on: both agents' MDD-Es,
+        named as `mdd.MddECache` names them, and the conflict itself."""
+        i, j = c.i, c.j
+        return (node.paths[i].cost, id(node.omegas[i]), node.paths[j].cost, id(node.omegas[j]),
+                *_conflict_key(c))
+
     def _find_conflict(self, node: CTNode):
         """The conflict to resolve next: earliest overall, or with MDD-E
         enabled the earliest cardinal, else semi-cardinal, else
-        non-cardinal conflict."""
+        non-cardinal conflict. Each conflict is classified once per solve;
+        a label from the memo comes with no joint."""
         if not node.conflicts:
             return None, None, None
         if not self.config.mdde_enabled:
@@ -337,9 +357,17 @@ class _Solver:
         best = None  # (class_rank, conflict, joint)
         ranks = {mdd_mod.CARDINAL: 0, mdd_mod.SEMI_CARDINAL: 1, mdd_mod.NON_CARDINAL: 2}
         for c in node.conflicts:
-            label, joint = mdd_mod.classify(node, c, self.graph, self.agents,
-                                            self.config.mdd_node_cap, joint_cache,
-                                            self.mdds)
+            key = self._memo_key(node, c)
+            hit = self.labels.get(key)
+            if hit is None:
+                label, joint = mdd_mod.classify(node, c, self.graph, self.agents,
+                                                self.config.mdd_node_cap, joint_cache,
+                                                self.mdds)
+                self.labels[key] = (label, node.omegas[c.i], node.omegas[c.j])
+                self.stats.classify_calls += 1
+            else:
+                label, joint = hit[0], None
+                self.stats.label_hits += 1
             rank = ranks[label]
             if best is None or rank < best[0]:
                 best = (rank, c, joint)
@@ -351,16 +379,25 @@ class _Solver:
 
     def _try_bypass(self, node: CTNode, conflict, joint) -> bool:
         """Adopt an equal-cost replacement path when it strictly reduces the
-        node's conflict count; strict decrease keeps the loop finite."""
-        t_start = time.perf_counter()
-        found = mdd_mod.find_bypass(node, conflict, self.graph, self.agents,
-                                    joint, self.config.mdd_node_cap, self.mdds)
-        self.mdde_time += time.perf_counter() - t_start
+        node's conflict count; strict decrease keeps the loop finite. The
+        path found for a conflict is memoised with its label; `joint` is
+        None when the label came from the memo."""
+        key = self._memo_key(node, conflict)
+        if key in self.bypasses:
+            found = self.bypasses[key]
+        else:
+            t_start = time.perf_counter()
+            found = mdd_mod.find_bypass(node, conflict, self.graph, self.agents,
+                                        joint, self.config.mdd_node_cap, self.mdds)
+            self.mdde_time += time.perf_counter() - t_start
+            if found is not None:
+                found = (found[0], self._intern(found[1]))
+            self.bypasses[key] = found
         if found is None:
             return False
         agent_id, new_path = found
         candidate = list(node.paths)
-        candidate[agent_id] = self._intern(new_path)
+        candidate[agent_id] = new_path
         conflicts = self._rescan(node, agent_id, candidate)
         if len(conflicts) >= node.conflict_count:
             return False

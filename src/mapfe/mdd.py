@@ -512,6 +512,28 @@ def _comps_to_path(comps: list, mdd: MddE) -> Path:
     return Path(tuple(steps))
 
 
+def _joint(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...], node_cap: int,
+           joint_cache: dict | None, mdds: MddECache | None) -> JointMddE:
+    """The joint MDD-E of the conflict's two agents in the node, its first
+    side always the lower agent id, so that its search order, and so any
+    bypass, does not depend on which conflict built it. `joint_cache`
+    keys joints by their two MDD-Es. Raises `MddSizeExceeded` when an
+    MDD-E is over the cap."""
+    i, j = c.i, c.j
+    if mdds is None:
+        mdds = MddECache(graph, agents, node_cap=node_cap)
+    mdd_i = mdds.get(i, node.paths[i].cost, node.omegas[i])
+    mdd_j = mdds.get(j, node.paths[j].cost, node.omegas[j])
+    pair = (mdd_i, mdd_j) if i < j else (mdd_j, mdd_i)
+    key = (id(pair[0]), id(pair[1]))  # each joint holds both, so ids stay unique
+    joint = joint_cache.get(key) if joint_cache is not None else None
+    if joint is None:
+        joint = build_joint(*pair, elevator_aware=True, node_cap=node_cap)
+        if joint_cache is not None:
+            joint_cache[key] = joint
+    return joint
+
+
 def classify(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
              node_cap: int = 200_000, joint_cache: dict | None = None,
              mdds: MddECache | None = None) -> tuple[str, JointMddE | None]:
@@ -523,20 +545,10 @@ def classify(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
     joint search. Oversized diagrams fall back to cardinal, the safe
     choice, with no joint. `mdds` is the solve's MDD-E memo; without one
     the two MDD-Es are built afresh."""
-    i, j = c.i, c.j
-    key = (min(i, j), max(i, j))
-    joint = joint_cache.get(key) if joint_cache is not None else None
     try:
-        if joint is None:
-            if mdds is None:
-                mdds = MddECache(graph, agents, node_cap=node_cap)
-            mdd_i = mdds.get(i, node.paths[i].cost, node.omegas[i])
-            mdd_j = mdds.get(j, node.paths[j].cost, node.omegas[j])
-            joint = build_joint(mdd_i, mdd_j, elevator_aware=True, node_cap=node_cap)
-            if joint_cache is not None:
-                joint_cache[key] = joint
-        has_i = _bypass_comps(joint, c, i) is not None
-        has_j = _bypass_comps(joint, c, j) is not None
+        joint = _joint(node, c, graph, agents, node_cap, joint_cache, mdds)
+        has_i = _bypass_comps(joint, c, c.i) is not None
+        has_j = _bypass_comps(joint, c, c.j) is not None
     except MddSizeExceeded:
         return CARDINAL, None
     if has_i and has_j:
@@ -551,18 +563,17 @@ def find_bypass(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
                 mdds: MddECache | None = None) -> tuple[int, Path] | None:
     """An equal-cost replacement path for one of the conflicting agents
     that satisfies its constraints and avoids the conflict, extracted from
-    the joint MDD-E; None when neither agent has one or the joint grows
-    past its cap."""
-    if joint is None:
-        label, joint = classify(node, c, graph, agents, node_cap, mdds=mdds)
+    the joint MDD-E (built here when not given); None when neither agent
+    has one or a diagram grows past its cap. The lower agent id is tried
+    first."""
+    try:
         if joint is None:
-            return None
-    for agent_id in sorted((c.i, c.j)):
-        try:
+            joint = _joint(node, c, graph, agents, node_cap, None, mdds)
+        for agent_id in sorted((c.i, c.j)):
             comps = _bypass_comps(joint, c, agent_id)
-        except MddSizeExceeded:
-            return None
-        if comps is not None:
-            mdd = joint.mdd_a if joint.mdd_a.agent.id == agent_id else joint.mdd_b
-            return agent_id, _comps_to_path(comps, mdd)
+            if comps is not None:
+                mdd = joint.mdd_a if joint.mdd_a.agent.id == agent_id else joint.mdd_b
+                return agent_id, _comps_to_path(comps, mdd)
+    except MddSizeExceeded:
+        return None
     return None
