@@ -10,10 +10,14 @@ Work that cannot change between CT nodes is done once per solve: the grid
 index (`sipp.GridIndex`: neighbour tuples and BFS distance fields, each
 field computed once for every agent that needs it) is built when the
 solver is, each agent's unconstrained heuristic is built once from it and
-shared by every replan and MDD-E of that agent, each MDD-E is built once
-per (agent, cost, constraint set) and kept for the rest of the solve
-(`mdd.MddECache`), and each path's rides and door presences are extracted
-once (`elevator.RideSummaries`). A child replans one agent, so it keeps
+shared by every replan and MDD-E of that agent, each (agent, constraint
+set) is planned once (`_Solver.plans`) and each MDD-E built once per
+(agent, cost, constraint set) (`mdd.MddECache`), both kept for the rest
+of the solve, and each path's rides and door presences are extracted once
+(`elevator.RideSummaries`). Sibling subtrees keep adding the same ban to
+the same parent set; `ConstraintSet` derives each (parent, ban) child
+once, so those branches share one set object and every memo keyed by a
+set's identity hits across them. A child replans one agent, so it keeps
 its parent's conflicts that do not involve that agent and rescans only
 that agent against the others. It also keeps the other agents'
 constraint sets, and so their MDD-Es: a conflict's label and bypass depend
@@ -115,6 +119,8 @@ class SolveStats:
     bypasses: int = 0
     classify_calls: int = 0  # conflicts classified on their joint MDD-E
     label_hits: int = 0  # conflict labels the solve's memo answered
+    plans: int = 0  # single-agent SIPP plans run by the solve
+    plan_reuses: int = 0  # plan requests the solve's memo answered
     mdd_builds: int = 0  # MDD-Es built by the solve
     mdd_reuses: int = 0  # MDD-E requests the solve's memo answered
     distance_fields: int = 0  # grid BFS fields the solve computed
@@ -245,6 +251,11 @@ class _Solver:
         self.mdds = mdd_mod.MddECache(self.graph, self.agents, self.heuristics,
                                       config.mdd_node_cap)
         self.steps: dict[tuple[Vertex, int], tuple[Vertex, int]] = {}
+        self.shared_conflicts: dict[Conflict, Conflict] = {}
+        # Each agent's interned path, or None, per constraint set, keyed
+        # like `mdd.MddECache` by (agent, set identity); the entry holds
+        # the set, so no id is reused while the solve runs.
+        self.plans: dict[tuple[int, int], tuple[ConstraintSet, Path | None]] = {}
         # Both memos are keyed by `_memo_key`. A label entry holds the two
         # constraint sets its key names by id, so no id is reused while the
         # solve runs; every bypass key is also a label key.
@@ -303,8 +314,16 @@ class _Solver:
         return self.seq
 
     def _plan(self, agent_id: int, omega: ConstraintSet) -> Path | None:
-        path = plan(self.agents[agent_id], self.graph, omega, self.heuristics[agent_id])
-        return None if path is None else self._intern(path)
+        """Agent's plan under omega, run once per (agent, constraint set)."""
+        key = (agent_id, id(omega))
+        entry = self.plans.get(key)
+        if entry is None:
+            path = plan(self.agents[agent_id], self.graph, omega, self.heuristics[agent_id])
+            entry = self.plans[key] = (omega, None if path is None else self._intern(path))
+            self.stats.plans += 1
+        else:
+            self.stats.plan_reuses += 1
+        return entry[1]
 
     def _intern(self, path: Path) -> Path:
         """The path with every (vertex, t) step shared with equal steps of
@@ -316,7 +335,11 @@ class _Solver:
         """Conflicts of `paths`, which differ from node's only in agent_id's
         path: the node's conflicts without that agent, plus a rescan of it."""
         conflicts = [c for c in node.conflicts if c.i != agent_id and c.j != agent_id]
-        conflicts += enumerate_conflicts(paths, self.graph, agent_id, self.rides)
+        # siblings and cousins rescan the same plans into equal conflicts;
+        # CT nodes share one object per distinct conflict of the solve
+        shared = self.shared_conflicts
+        conflicts += [shared.setdefault(c, c)
+                      for c in enumerate_conflicts(paths, self.graph, agent_id, self.rides)]
         conflicts.sort(key=_conflict_key)
         return conflicts
 

@@ -40,28 +40,52 @@ def interval_contains(intervals, t: int) -> bool:
     return any(lo <= t <= hi for lo, hi in intervals)
 
 
+def _with_interval(bans: dict, key, lo: int, hi: int) -> dict:
+    """A copy of bans with [lo, hi] merged into key's intervals."""
+    out = dict(bans)
+    out[key] = merge_intervals(list(out.get(key, ())) + [(lo, hi)])
+    return out
+
+
 @dataclass(slots=True)
 class ConstraintSet:
     """One agent's constraints: vertex bans and boarding bans are closed
-    time intervals (kept normalized), edge bans are exact departures."""
+    time intervals (kept normalized), edge bans are exact departures.
+
+    Sets are never mutated: each `with_*` derives a child, and the parent
+    keeps its children keyed by the ban, so the same ban on the same set
+    gives the same object. Sibling CT subtrees that add one ban to one set
+    then share the child, and every memo keyed by a set's identity (plans,
+    MDD-Es, labels, bypasses) hits across them. `children` is no part of
+    a set's value: `==` and `repr` ignore it."""
 
     vertex_bans: dict[Vertex, tuple[Interval, ...]] = field(default_factory=dict)
     edge_bans: frozenset[tuple[Vertex, Vertex, int]] = field(default_factory=frozenset)
     boarding_bans: dict[tuple[int, int], tuple[Interval, ...]] = field(default_factory=dict)
+    children: dict[tuple, "ConstraintSet"] | None = field(default=None, init=False,
+                                                           compare=False, repr=False)
+
+    def _derive(self, ban: tuple, make) -> "ConstraintSet":
+        children = self.children
+        if children is None:
+            children = self.children = {}
+        child = children.get(ban)
+        if child is None:
+            child = children[ban] = make()
+        return child
 
     def with_vertex_ban(self, v: Vertex, lo: int, hi: int) -> "ConstraintSet":
-        bans = dict(self.vertex_bans)
-        bans[v] = merge_intervals(list(bans.get(v, ())) + [(lo, hi)])
-        return ConstraintSet(bans, self.edge_bans, self.boarding_bans)
+        return self._derive(("vertex", v, lo, hi), lambda: ConstraintSet(
+            _with_interval(self.vertex_bans, v, lo, hi), self.edge_bans, self.boarding_bans))
 
     def with_edge_ban(self, u: Vertex, w: Vertex, t: int) -> "ConstraintSet":
-        return ConstraintSet(self.vertex_bans, self.edge_bans | {(u, w, t)}, self.boarding_bans)
+        return self._derive(("edge", u, w, t), lambda: ConstraintSet(
+            self.vertex_bans, self.edge_bans | {(u, w, t)}, self.boarding_bans))
 
     def with_boarding_ban(self, elevator: int, floor: int, lo: int, hi: int) -> "ConstraintSet":
-        bans = dict(self.boarding_bans)
-        key = (elevator, floor)
-        bans[key] = merge_intervals(list(bans.get(key, ())) + [(lo, hi)])
-        return ConstraintSet(self.vertex_bans, self.edge_bans, bans)
+        return self._derive(("boarding", elevator, floor, lo, hi), lambda: ConstraintSet(
+            self.vertex_bans, self.edge_bans,
+            _with_interval(self.boarding_bans, (elevator, floor), lo, hi)))
 
     def vertex_banned(self, v: Vertex, t: int) -> bool:
         return interval_contains(self.vertex_bans.get(v, ()), t)

@@ -168,6 +168,27 @@ def test_solver_builds_one_mdd_e_per_constraint_set(monkeypatch):
     assert result.stats.mdd_reuses > 0
 
 
+def test_solver_plans_once_per_constraint_set(monkeypatch):
+    from mapfe import cbs
+    planned = []
+    plan = cbs.plan
+
+    def counting(agent, graph, constraints, *args):
+        planned.append((agent.id, id(constraints)))
+        return plan(agent, graph, constraints, *args)
+
+    monkeypatch.setattr(cbs, "plan", counting)
+    cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
+                           tfloor=3, agents=[6], instances=1)
+    result = solve(gen_instance(cfg, 6, seed=777_002),
+                   SolverConfig(mdde_enabled=False, time_limit=60))
+    # sibling subtrees derive the same child set from the same (set, ban),
+    # and the solve's memo holds every set it planned, so no id repeats
+    assert result.status == "solved"
+    assert len(planned) == len(set(planned)) == result.stats.plans
+    assert result.stats.plan_reuses > 0
+
+
 # Drops the first conflict of every one-agent rescan, so the search reaches
 # a goal node whose plan still has a conflict; run under -O, where asserts
 # are gone, the goal certificate must still refuse it.

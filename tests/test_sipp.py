@@ -1,6 +1,9 @@
 import math
 import random
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from mapfe.model import Agent, Vertex, parse_map, parse_scenario, ride_visits
 from mapfe.sipp import ConstraintSet, Path, merge_intervals, plan, safe_intervals
 
@@ -167,3 +170,61 @@ def test_waits_pool_at_the_start_when_legal(corridor2_t3):
 def test_ride_visits_expansion(corridor2_t3, strip3):
     assert ride_visits(corridor2_t3, 0, 1, 2, 4) == [(Vertex(2, 1, 0), 7)]
     assert ride_visits(strip3, 0, 3, 1, 2) == [(Vertex(2, 1, 0), 3), (Vertex(1, 1, 0), 4)]
+
+
+_BAN_MAP = parse_map("type mapf-e\nfloors 2\nheight 3\nwidth 4\ntfloor 2\n"
+                     + ".E..\n..@.\n....\n" * 2)
+_BAN_VERTICES = sorted(_BAN_MAP.vertices(), key=lambda v: (v.floor, v.y, v.x))
+
+
+@st.composite
+def ban_sequences(draw):
+    """An agent of _BAN_MAP and 1-8 vertex, edge and boarding bans."""
+    free = [v for v in _BAN_VERTICES if _BAN_MAP.elevator_at(v) is None]
+    start, goal = draw(st.lists(st.sampled_from(free), min_size=2, max_size=2, unique=True))
+    bans = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["vertex", "edge", "boarding"]))
+        lo = draw(st.integers(0, 8))
+        hi = lo + draw(st.integers(0, 3))
+        if kind == "vertex":
+            bans.append(("vertex", draw(st.sampled_from(_BAN_VERTICES)), lo, hi))
+        elif kind == "edge":
+            u = draw(st.sampled_from(free))
+            w = draw(st.sampled_from([w for w in _BAN_VERTICES if w.floor == u.floor
+                                      and abs(w.x - u.x) + abs(w.y - u.y) == 1]))
+            bans.append(("edge", u, w, lo))
+        else:
+            bans.append(("boarding", 0, draw(st.integers(1, 2)), lo, hi))
+    return Agent(0, start, goal), bans, draw(st.permutations(bans))
+
+
+def _apply(cs: ConstraintSet, bans) -> list[ConstraintSet]:
+    """Every set along the derivation of bans from cs, cs first."""
+    derive = {"vertex": ConstraintSet.with_vertex_ban, "edge": ConstraintSet.with_edge_ban,
+              "boarding": ConstraintSet.with_boarding_ban}
+    chain = [cs]
+    for kind, *args in bans:
+        chain.append(derive[kind](chain[-1], *args))
+    return chain
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ban_sequences())
+def test_same_ban_on_same_set_derives_one_child(case):
+    agent, bans, shuffled = case
+    root = ConstraintSet()
+    chain = _apply(root, bans)
+    # the same (set, ban) derived again gives the identical object
+    assert all(a is b for a, b in zip(chain, _apply(root, bans)))
+    # another order reaches an equal set, planned to an equal path
+    other = _apply(root, shuffled)[-1]
+    assert other == chain[-1]
+    assert plan(agent, _BAN_MAP, other) == plan(agent, _BAN_MAP, chain[-1])
+    # the children memo is no part of a set's value
+    parent = chain[-2]
+    fresh = ConstraintSet(parent.vertex_bans, parent.edge_bans, parent.boarding_bans)
+    assert parent.children and fresh.children is None
+    assert fresh == parent and repr(fresh) == repr(parent)
+    assert root == ConstraintSet() and repr(root) == repr(ConstraintSet())
