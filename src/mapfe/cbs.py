@@ -21,9 +21,10 @@ set's identity hits across them. A child replans one agent, so it keeps
 its parent's conflicts that do not involve that agent and rescans only
 that agent against the others. It also keeps the other agents'
 constraint sets, and so their MDD-Es: a conflict's label and bypass depend
-only on the two MDD-Es and the conflict, so each is computed once per
-solve and memoised under that triple. The memo holds labels and bypass
-paths, never a joint MDD-E; a joint lives for one expansion.
+only on the two MDD-Es and the conflict, and one joint search
+(`mdd.classify`) yields both, so it runs once per solve per triple and
+both are memoised under it. The memo holds labels and bypass paths, never
+a joint MDD-E; a joint lives for one expansion.
 Invariant: every CT node's conflict list equals `enumerate_conflicts` over
 its paths, in `_conflict_key` order, which is a total order on a plan's
 conflicts. `validate` keeps the full scan and certifies every returned
@@ -101,7 +102,6 @@ class SolverConfig:
     ec_enabled: bool = True
     mdde_enabled: bool = True
     time_limit: float = 60.0
-    mdd_node_cap: int = 200_000
 
     def __post_init__(self) -> None:
         if not self.time_limit > 0:  # also rejects NaN; inf means no limit
@@ -248,19 +248,18 @@ class _Solver:
         self.index = GridIndex(self.graph)
         self.heuristics = [cost_to_go(agent, self.graph, self.index) for agent in self.agents]
         self.rides = RideSummaries(self.graph)
-        self.mdds = mdd_mod.MddECache(self.graph, self.agents, self.heuristics,
-                                      config.mdd_node_cap)
+        self.mdds = mdd_mod.MddECache(self.graph, self.agents, self.heuristics)
         self.steps: dict[tuple[Vertex, int], tuple[Vertex, int]] = {}
         self.shared_conflicts: dict[Conflict, Conflict] = {}
         # Each agent's interned path, or None, per constraint set, keyed
         # like `mdd.MddECache` by (agent, set identity); the entry holds
         # the set, so no id is reused while the solve runs.
         self.plans: dict[tuple[int, int], tuple[ConstraintSet, Path | None]] = {}
-        # Both memos are keyed by `_memo_key`. A label entry holds the two
-        # constraint sets its key names by id, so no id is reused while the
-        # solve runs; every bypass key is also a label key.
-        self.labels: dict[tuple, tuple[str, ConstraintSet, ConstraintSet]] = {}
-        self.bypasses: dict[tuple, tuple[int, Path] | None] = {}
+        # Each conflict's label and interned bypass, or None, keyed by
+        # `_memo_key`; the entry holds the two constraint sets its key
+        # names by id, so no id is reused while the solve runs.
+        self.labels: dict[tuple, tuple[str, tuple[int, Path] | None,
+                                       ConstraintSet, ConstraintSet]] = {}
 
     def run(self) -> SolveResult:
         root = self._make_root()
@@ -273,14 +272,13 @@ class _Solver:
                 return self._finish("timeout", None)
             _, _, _, node = heapq.heappop(heap)
             self.stats.expanded += 1
-            conflict, joint, cardinality = self._find_conflict(node)
+            conflict, bypass, _ = self._find_conflict(node)
             if conflict is None:
                 self._certify(node)
                 return self._finish("solved", node)
-            if self.config.mdde_enabled and cardinality != mdd_mod.CARDINAL:
-                if self._try_bypass(node, conflict, joint):
-                    heapq.heappush(heap, (node.g, node.conflict_count, node.seq, node))
-                    continue
+            if bypass is not None and self._try_bypass(node, bypass):
+                heapq.heappush(heap, (node.g, node.conflict_count, node.seq, node))
+                continue
             kind = conflict.kind
             self.stats.branchings[kind] = self.stats.branchings.get(kind, 0) + 1
             for child in self._branch(node, conflict):
@@ -367,58 +365,41 @@ class _Solver:
                 *_conflict_key(c))
 
     def _find_conflict(self, node: CTNode):
-        """The conflict to resolve next: earliest overall, or with MDD-E
-        enabled the earliest cardinal, else semi-cardinal, else
-        non-cardinal conflict. Each conflict is classified once per solve;
-        a label from the memo comes with no joint."""
+        """(conflict, bypass, label) for the conflict to resolve next:
+        earliest overall, or with MDD-E enabled the earliest cardinal, else
+        semi-cardinal, else non-cardinal conflict, with its lower agent id's
+        bypass, if any. Each conflict is classified once per solve."""
         if not node.conflicts:
             return None, None, None
         if not self.config.mdde_enabled:
             return node.conflicts[0], None, None
         t_start = time.perf_counter()
         joint_cache: dict = {}
-        best = None  # (class_rank, conflict, joint)
-        ranks = {mdd_mod.CARDINAL: 0, mdd_mod.SEMI_CARDINAL: 1, mdd_mod.NON_CARDINAL: 2}
+        best = None  # (class_rank, conflict, bypass)
         for c in node.conflicts:
             key = self._memo_key(node, c)
-            hit = self.labels.get(key)
-            if hit is None:
-                label, joint = mdd_mod.classify(node, c, self.graph, self.agents,
-                                                self.config.mdd_node_cap, joint_cache,
-                                                self.mdds)
-                self.labels[key] = (label, node.omegas[c.i], node.omegas[c.j])
+            entry = self.labels.get(key)
+            if entry is None:
+                label, found = mdd_mod.classify(node, c, self.graph, self.agents,
+                                                joint_cache, self.mdds)
+                bypass = (found[0][0], self._intern(found[0][1])) if found else None
+                entry = self.labels[key] = (label, bypass, node.omegas[c.i], node.omegas[c.j])
                 self.stats.classify_calls += 1
             else:
-                label, joint = hit[0], None
                 self.stats.label_hits += 1
-            rank = ranks[label]
+            rank = mdd_mod.LABELS.index(entry[0])
             if best is None or rank < best[0]:
-                best = (rank, c, joint)
+                best = (rank, c, entry[1])
             if rank == 0:
                 break
         self.mdde_time += time.perf_counter() - t_start
-        labels = [mdd_mod.CARDINAL, mdd_mod.SEMI_CARDINAL, mdd_mod.NON_CARDINAL]
-        return best[1], best[2], labels[best[0]]
+        return best[1], best[2], mdd_mod.LABELS[best[0]]
 
-    def _try_bypass(self, node: CTNode, conflict, joint) -> bool:
-        """Adopt an equal-cost replacement path when it strictly reduces the
-        node's conflict count; strict decrease keeps the loop finite. The
-        path found for a conflict is memoised with its label; `joint` is
-        None when the label came from the memo."""
-        key = self._memo_key(node, conflict)
-        if key in self.bypasses:
-            found = self.bypasses[key]
-        else:
-            t_start = time.perf_counter()
-            found = mdd_mod.find_bypass(node, conflict, self.graph, self.agents,
-                                        joint, self.config.mdd_node_cap, self.mdds)
-            self.mdde_time += time.perf_counter() - t_start
-            if found is not None:
-                found = (found[0], self._intern(found[1]))
-            self.bypasses[key] = found
-        if found is None:
-            return False
-        agent_id, new_path = found
+    def _try_bypass(self, node: CTNode, bypass: tuple[int, Path]) -> bool:
+        """Adopt the (agent id, equal-cost path) bypass when it strictly
+        reduces the node's conflict count; strict decrease keeps the loop
+        finite."""
+        agent_id, new_path = bypass
         candidate = list(node.paths)
         candidate[agent_id] = new_path
         conflicts = self._rescan(node, agent_id, candidate)

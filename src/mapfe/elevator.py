@@ -79,6 +79,17 @@ def usages_overlap(u_i: ElevatorUsage, u_j: ElevatorUsage) -> bool:
     return lo_i <= u_j.t_s <= hi_i or lo_j <= u_i.t_s <= hi_j
 
 
+def door_in_window(rider: ElevatorUsage, floor: int, t: int, own: ElevatorUsage | None) -> bool:
+    """Is a presence at time t at the rider's elevator's door on `floor`
+    inside the rider's busy window? `own` is the standing agent's ride of
+    the same elevator, if any: presences inside it are the rider-vs-rider
+    case, covered by the boarding variant."""
+    if own is not None and own.t_s <= t <= own.t_g:
+        return False
+    lo, hi = busy_interval(rider, floor)
+    return lo <= t <= hi
+
+
 def extract_usages(steps: list[tuple[Vertex, int]], graph: MultiFloorGraph) -> list[ElevatorUsage]:
     """Rides contained in a timed path, recovered from its shaft steps
     (same cell, adjacent floors, t_floor spacing). Paths take at most one
@@ -179,13 +190,7 @@ def detect_elevator_conflicts(paths, graph: MultiFloorGraph, agent: int | None =
                     continue
                 own = {u.elevator: u for u in usages[j]}
                 for k, v, t in presences[j]:
-                    if k != u_i.elevator:
-                        continue
-                    mine = own.get(k)
-                    if mine is not None and mine.t_s <= t <= mine.t_g:
-                        continue  # part of j's own ride of k
-                    lo, hi = busy_interval(u_i, v.floor)
-                    if lo <= t <= hi:
+                    if k == u_i.elevator and door_in_window(u_i, v.floor, t, own.get(k)):
                         conflicts.append(ElevatorConflict(
                             "occupancy", u_i.agent, j, k, t, u_i, None, v))
     conflicts.sort(key=ElevatorConflict.sort_key)

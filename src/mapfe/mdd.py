@@ -12,13 +12,16 @@ tuple once. Classification first asks each agent's own MDD-E whether every
 cost-d path commits that agent's side of the conflict (`_unavoidable`, the
 ICBS width-1 test widened to elevator conflicts); only the other sides are
 searched in the joint product, which expands pairs on demand and stops as
-soon as a search frontier dies.
+soon as a search frontier dies. A search that reaches the last level is
+that agent's bypass, so `classify` returns the label and the bypasses of
+one search together.
 
 A joint component is a plain `MddENode`, read together with the level t it
 sits at: node.time == t stands on node.vertex, node.time < t is parked at
 the goal, and node.time > t is inside a shaft riding toward the node
-(`_vertex_at`). Every busy window comes from `elevator.busy_interval` and
-`usages_overlap`, applied to the node's ride (`MddE.ride`).
+(`_vertex_at`). Every busy window comes from `elevator.busy_interval`,
+`usages_overlap` and `door_in_window`, applied to the node's ride
+(`MddE.ride`).
 """
 from __future__ import annotations
 
@@ -26,13 +29,17 @@ import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .elevator import ElevatorUsage, busy_interval, usages_overlap
+from .elevator import ElevatorUsage, busy_interval, door_in_window, usages_overlap
 from .model import Agent, MultiFloorGraph, Vertex, ride_visits
 from .sipp import INF, ConstraintSet, Path, _Heuristic
 
 CARDINAL = "cardinal"
 SEMI_CARDINAL = "semi-cardinal"
 NON_CARDINAL = "non-cardinal"
+LABELS = (CARDINAL, SEMI_CARDINAL, NON_CARDINAL)  # indexed by the bypasses found
+
+# Most nodes one MDD-E, or pairs one joint MDD-E, may hold; read at call time.
+NODE_CAP = 200_000
 
 
 class MddSizeExceeded(Exception):
@@ -87,7 +94,7 @@ def _mid_ride(node: MddENode, agent: Agent, graph: MultiFloorGraph) -> bool:
 
 
 def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
-                graph: MultiFloorGraph, node_cap: int = 200_000, heuristic=None) -> MddE:
+                graph: MultiFloorGraph, heuristic=None) -> MddE:
     """All cost-d paths of one agent under its constraints, as a leveled
     DAG. Forward timed reachability is intersected with backward
     completability, so every kept node sits on a root-to-goal path of cost
@@ -113,8 +120,8 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
         if dst not in levels.setdefault(dst.time, set()):
             levels[dst.time].add(dst)
             count += 1
-            if count > node_cap:
-                raise MddSizeExceeded(f"MDD-E for agent {agent.id} exceeded {node_cap} nodes")
+            if count > NODE_CAP:
+                raise MddSizeExceeded(f"MDD-E for agent {agent.id} exceeded {NODE_CAP} nodes")
         edges.setdefault(src, set()).add(dst)
 
     for t in range(d):
@@ -197,12 +204,10 @@ class MddECache:
     solve's MDD-Es share most of their nodes. `heuristics`, indexed by
     agent id, are the agents' `sipp.cost_to_go`."""
 
-    def __init__(self, graph: MultiFloorGraph, agents, heuristics=None,
-                 node_cap: int = 200_000):
+    def __init__(self, graph: MultiFloorGraph, agents, heuristics=None):
         self.graph = graph
         self.agents = agents
         self.heuristics = heuristics
-        self.node_cap = node_cap
         self.entries: dict[tuple[int, int, int], tuple[ConstraintSet, MddE | None]] = {}
         self.nodes: dict[MddENode, MddENode] = {}
         self.tuples: dict[tuple[MddENode, ...], tuple[MddENode, ...]] = {}
@@ -217,14 +222,14 @@ class MddECache:
             heuristic = self.heuristics[agent_id] if self.heuristics is not None else None
             try:
                 mdd = self._shared(build_mdd_e(self.agents[agent_id], d, constraints,
-                                               self.graph, self.node_cap, heuristic))
+                                               self.graph, heuristic))
             except MddSizeExceeded:
                 mdd = None
             entry = self.entries[key] = (constraints, mdd)
         else:
             self.reuses += 1
         if entry[1] is None:
-            raise MddSizeExceeded(f"MDD-E for agent {agent_id} exceeded {self.node_cap} nodes")
+            raise MddSizeExceeded(f"MDD-E for agent {agent_id} exceeded {NODE_CAP} nodes")
         return entry[1]
 
     def _shared(self, mdd: MddE) -> MddE:
@@ -277,8 +282,7 @@ def _comp_succs(mdd: MddE, n: MddENode, t: int) -> list[tuple[MddENode, _Trans]]
 def _door_window_hit(mdd_x: MddE, comp_x: MddENode, mdd_y: MddE, comp_y: MddENode,
                      t: int) -> bool:
     """Is y's component standing at a door of x's elevator inside x's busy
-    window at time t? Presences inside y's own ride of the same elevator are
-    the rider-vs-rider case, handled by the boarding-overlap check."""
+    window at time t (`elevator.door_in_window`)?"""
     k_x = comp_x.elevator
     if k_x == -1:
         return False
@@ -288,12 +292,8 @@ def _door_window_hit(mdd_x: MddE, comp_x: MddENode, mdd_y: MddE, comp_y: MddENod
     e = mdd_x.graph.elevator_at(v_y)
     if e is None or e.id != k_x:
         return False
-    if comp_y.elevator == k_x:
-        own = mdd_y.ride(comp_y)
-        if own.t_s <= t <= own.t_g:
-            return False
-    lo, hi = busy_interval(mdd_x.ride(comp_x), v_y.floor)
-    return lo <= t <= hi
+    own = mdd_y.ride(comp_y) if comp_y.elevator == k_x else None
+    return door_in_window(mdd_x.ride(comp_x), v_y.floor, t, own)
 
 
 @dataclass
@@ -306,7 +306,7 @@ class JointMddE:
     Pairs are expanded on demand: `successors` computes one pair's
     successors and keeps them, and `levels` holds the root level until
     `all_levels` expands the whole product. `pairs` counts the expanded
-    pairs; past `node_cap` every search of this joint raises
+    pairs; past `NODE_CAP` every search of this joint raises
     `MddSizeExceeded`."""
 
     mdd_a: MddE
@@ -315,7 +315,6 @@ class JointMddE:
     levels: dict[int, list[tuple[MddENode, MddENode]]]
     adj: dict[tuple[int, tuple], list[tuple[tuple, _Trans, _Trans]]]
     elevator_aware: bool
-    node_cap: int = 200_000
     pairs: int = 0
 
     def successors(self, t: int, pair: tuple) -> list[tuple[tuple, _Trans, _Trans]]:
@@ -337,8 +336,8 @@ class JointMddE:
         return out
 
     def check_cap(self) -> None:
-        if self.pairs > self.node_cap:
-            raise MddSizeExceeded(f"joint MDD-E exceeded {self.node_cap} pairs")
+        if self.pairs > NODE_CAP:
+            raise MddSizeExceeded(f"joint MDD-E exceeded {NODE_CAP} pairs")
 
     def all_levels(self) -> dict[int, list[tuple]]:
         """Every level of the product, each sorted; later levels stay empty
@@ -360,15 +359,14 @@ class JointMddE:
         return {(_vertex_at(a, t), _vertex_at(b, t)) for a, b in self.all_levels().get(t, ())}
 
 
-def build_joint(mdd_a: MddE, mdd_b: MddE, elevator_aware: bool = True,
-                node_cap: int = 200_000) -> JointMddE:
+def build_joint(mdd_a: MddE, mdd_b: MddE, elevator_aware: bool = True) -> JointMddE:
     """The joint MDD-E of two agents with only its root level in place;
     pairs are expanded as searches reach them."""
     t_end = max(mdd_a.d, mdd_b.d)
     levels: dict[int, list[tuple[MddENode, MddENode]]] = {}
     if not (mdd_a.empty or mdd_b.empty or mdd_a.root.vertex == mdd_b.root.vertex):
         levels[0] = [(mdd_a.root, mdd_b.root)]
-    return JointMddE(mdd_a, mdd_b, t_end, levels, {}, elevator_aware, node_cap)
+    return JointMddE(mdd_a, mdd_b, t_end, levels, {}, elevator_aware)
 
 
 def _pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra: _Trans, trb: _Trans,
@@ -512,7 +510,7 @@ def _comps_to_path(comps: list, mdd: MddE) -> Path:
     return Path(tuple(steps))
 
 
-def _joint(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...], node_cap: int,
+def _joint(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
            joint_cache: dict | None, mdds: MddECache | None) -> JointMddE:
     """The joint MDD-E of the conflict's two agents in the node, its first
     side always the lower agent id, so that its search order, and so any
@@ -521,59 +519,46 @@ def _joint(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...], node_cap:
     MDD-E is over the cap."""
     i, j = c.i, c.j
     if mdds is None:
-        mdds = MddECache(graph, agents, node_cap=node_cap)
+        mdds = MddECache(graph, agents)
     mdd_i = mdds.get(i, node.paths[i].cost, node.omegas[i])
     mdd_j = mdds.get(j, node.paths[j].cost, node.omegas[j])
     pair = (mdd_i, mdd_j) if i < j else (mdd_j, mdd_i)
     key = (id(pair[0]), id(pair[1]))  # each joint holds both, so ids stay unique
     joint = joint_cache.get(key) if joint_cache is not None else None
     if joint is None:
-        joint = build_joint(*pair, elevator_aware=True, node_cap=node_cap)
+        joint = build_joint(*pair, elevator_aware=True)
         if joint_cache is not None:
             joint_cache[key] = joint
     return joint
 
 
 def classify(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
-             node_cap: int = 200_000, joint_cache: dict | None = None,
-             mdds: MddECache | None = None) -> tuple[str, JointMddE | None]:
-    """Cardinality of a conflict in a CT node: cardinal when neither agent
-    has an equal-cost path avoiding its side of the conflict inside the
-    joint MDD-E, semi-cardinal when exactly one has, non-cardinal when both
-    have. A side that every path of the agent's own MDD-E commits has no
-    such path, so when both sides are, the conflict is cardinal without a
-    joint search. Oversized diagrams fall back to cardinal, the safe
-    choice, with no joint. `mdds` is the solve's MDD-E memo; without one
-    the two MDD-Es are built afresh."""
+             joint_cache: dict | None = None,
+             mdds: MddECache | None = None) -> tuple[str, tuple[tuple[int, Path], ...] | None]:
+    """Cardinality of a conflict in a CT node, with the bypasses that decide
+    it. An agent's bypass is an equal-cost path inside the joint MDD-E that
+    avoids its side of the conflict; `found` holds each (agent id, Path),
+    lower id first, and the label is cardinal, semi-cardinal or
+    non-cardinal as it holds none, one or both. A side that every path of
+    the agent's own MDD-E commits has none, with no joint search.
+    Oversized diagrams fall back to (CARDINAL, None), the safe choice.
+    `mdds` is the solve's MDD-E memo; without one the two MDD-Es are built
+    afresh."""
+    found = []
     try:
-        joint = _joint(node, c, graph, agents, node_cap, joint_cache, mdds)
-        has_i = _bypass_comps(joint, c, c.i) is not None
-        has_j = _bypass_comps(joint, c, c.j) is not None
+        joint = _joint(node, c, graph, agents, joint_cache, mdds)
+        for agent_id, mdd in zip(sorted((c.i, c.j)), (joint.mdd_a, joint.mdd_b)):
+            comps = _bypass_comps(joint, c, agent_id)
+            if comps is not None:
+                found.append((agent_id, _comps_to_path(comps, mdd)))
     except MddSizeExceeded:
         return CARDINAL, None
-    if has_i and has_j:
-        return NON_CARDINAL, joint
-    if has_i or has_j:
-        return SEMI_CARDINAL, joint
-    return CARDINAL, joint
+    return LABELS[len(found)], tuple(found)
 
 
 def find_bypass(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
-                joint: JointMddE | None = None, node_cap: int = 200_000,
                 mdds: MddECache | None = None) -> tuple[int, Path] | None:
-    """An equal-cost replacement path for one of the conflicting agents
-    that satisfies its constraints and avoids the conflict, extracted from
-    the joint MDD-E (built here when not given); None when neither agent
-    has one or a diagram grows past its cap. The lower agent id is tried
-    first."""
-    try:
-        if joint is None:
-            joint = _joint(node, c, graph, agents, node_cap, None, mdds)
-        for agent_id in sorted((c.i, c.j)):
-            comps = _bypass_comps(joint, c, agent_id)
-            if comps is not None:
-                mdd = joint.mdd_a if joint.mdd_a.agent.id == agent_id else joint.mdd_b
-                return agent_id, _comps_to_path(comps, mdd)
-    except MddSizeExceeded:
-        return None
-    return None
+    """The lower agent id's bypass from a fresh `classify`, else the other
+    agent's; None when neither has one or a diagram is over the cap."""
+    found = classify(node, c, graph, agents, None, mdds)[1]
+    return found[0] if found else None

@@ -22,10 +22,12 @@ ALL_VARIANTS = [(False, False), (True, False), (False, True), (True, True)]
 
 
 @st.composite
-def multi_floor_instances(draw):
-    """2-4 floors sharing one obstacle layout, 1-2 elevators with their own
-    per-floor travel times, 2-4 agents with distinct starts and goals."""
-    floors = draw(st.integers(2, 4))
+def multi_floor_instances(draw, floors=(2, 4), agents=(2, 4)):
+    """Floors sharing one obstacle layout, 1-2 elevators with their own
+    per-floor travel times, agents with distinct starts and goals; floor
+    and agent counts are drawn from the closed ranges given, 2-4 each by
+    default."""
+    floors = draw(st.integers(*floors))
     width, height = draw(st.integers(3, 5)), draw(st.integers(2, 4))
     cells = [(x, y) for y in range(height) for x in range(width)]
     doors = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=2, unique=True))
@@ -40,7 +42,7 @@ def multi_floor_instances(draw):
     graph = parse_map("\n".join(header + rows * floors) + "\n")
     spots = [(f, x, y) for f in range(1, floors + 1) for x, y in cells
              if (x, y) not in doors and (x, y) not in blocked]
-    n = draw(st.integers(2, min(4, len(spots))))
+    n = draw(st.integers(agents[0], min(agents[1], len(spots))))
     starts = draw(st.lists(st.sampled_from(spots), min_size=n, max_size=n, unique=True))
     goals = draw(st.lists(st.sampled_from(spots), min_size=n, max_size=n, unique=True))
     scenario = "".join(f"{s[0]} {s[1]} {s[2]} {g[0]} {g[1]} {g[2]}\n" for s, g in zip(starts, goals))

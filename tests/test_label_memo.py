@@ -4,7 +4,8 @@ A conflict's label and bypass depend only on the two agents' MDD-Es and
 the conflict, so a solve classifies each such triple once. Every label
 the solver uses, memoised or not, must equal a fresh classification of
 the conflict in the node at hand, and every bypass it adopts a fresh
-`find_bypass`.
+`find_bypass`. The bypass comes from the classification's own joint
+search: the solver never searches for one again.
 """
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +15,7 @@ from mapfe.bench import ExperimentConfig, gen_instance
 from mapfe.cbs import SolverConfig, VertexConflict, _conflict_key, _Solver, solve
 from mapfe.model import Agent, Instance, Vertex, parse_map
 
-from test_incremental import multi_floor_instances
+from test_incremental import PINNED, multi_floor_instances
 
 
 @settings(max_examples=30, deadline=None, derandomize=True,
@@ -26,21 +27,20 @@ def test_memoised_labels_and_bypasses_equal_fresh_ones(instance):
     real_classify, real_bypass = mdd_mod.classify, mdd_mod.find_bypass
 
     def checked_find(self, node):
-        chosen, joint, label = find_conflict(self, node)
+        chosen, bypass, label = find_conflict(self, node)
         for c in node.conflicts:
             entry = self.labels.get(self._memo_key(node, c))
             if entry is not None:
                 assert entry[0] == real_classify(node, c, graph, agents)[0], c
         if chosen is not None and label is not None:
-            assert label == self.labels[self._memo_key(node, chosen)][0]
-        return chosen, joint, label
+            assert (label, bypass) == self.labels[self._memo_key(node, chosen)][:2]
+            assert bypass == real_bypass(node, chosen, graph, agents), chosen
+        return chosen, bypass, label
 
-    def checked_bypass(self, node, c, joint):
-        fresh = real_bypass(node, c, graph, agents)
-        adopted = try_bypass(self, node, c, joint)
-        assert self.bypasses[self._memo_key(node, c)] == fresh, c
+    def checked_bypass(self, node, bypass):
+        adopted = try_bypass(self, node, bypass)
         if adopted:
-            agent_id, path = fresh
+            agent_id, path = bypass
             assert node.paths[agent_id] == path
         return adopted
 
@@ -55,10 +55,9 @@ def test_each_conflict_is_classified_once_per_solve(monkeypatch):
     triples = []
     classify = mdd_mod.classify
 
-    def recording(node, c, graph, agents, node_cap=200_000, joint_cache=None, mdds=None):
-        if joint_cache is not None:  # called by conflict selection, not by find_bypass
-            triples.append(_Solver._memo_key(node, c))
-        return classify(node, c, graph, agents, node_cap, joint_cache, mdds)
+    def recording(node, c, graph, agents, joint_cache=None, mdds=None):
+        triples.append(_Solver._memo_key(node, c))
+        return classify(node, c, graph, agents, joint_cache, mdds)
 
     monkeypatch.setattr(mdd_mod, "classify", recording)
     cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
@@ -71,13 +70,32 @@ def test_each_conflict_is_classified_once_per_solve(monkeypatch):
     assert result.stats.label_hits > 0
 
 
+def test_the_solver_searches_each_bypass_once(monkeypatch):
+    # the classification's joint search yields the bypass; a second search
+    # for it, after the label or on a label-memo hit, would raise here
+    def second_search(*args, **kwargs):
+        raise AssertionError("bypass searched for again")
+
+    monkeypatch.setattr(mdd_mod, "find_bypass", second_search)
+    cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
+                           tfloor=3, agents=[6], instances=1)
+    result = solve(gen_instance(cfg, 6, seed=777_004),
+                   SolverConfig(ec_enabled=True, mdde_enabled=True, time_limit=60))
+    s = result.stats
+    assert result.status == "solved"
+    assert (result.solution.g, s.expanded, s.generated, s.bypasses, s.branchings) == \
+        PINNED[(6, 777_004)][3]
+    assert s.bypasses > 0
+
+
 @pytest.mark.parametrize("cap", [5, 20])  # 5: each MDD-E is over it; 20: only the joint
-def test_over_the_cap_is_memoised_as_cardinal_without_bypass(cap):
+def test_over_the_cap_is_memoised_as_cardinal_without_bypass(cap, monkeypatch):
     # as test_joint_over_its_cap_is_cardinal_without_bypass: under the default
     # cap the conflict is non-cardinal and both agents have a bypass
+    monkeypatch.setattr(mdd_mod, "NODE_CAP", cap)
     g = parse_map("type mapf-e\nfloors 1\nheight 4\nwidth 4\ntfloor 1\n" + "....\n" * 4)
     agents = (Agent(0, Vertex(1, 0, 0), Vertex(1, 3, 3)), Agent(1, Vertex(1, 3, 0), Vertex(1, 0, 3)))
-    solver = _Solver(Instance(g, agents), SolverConfig(mdd_node_cap=cap, time_limit=60))
+    solver = _Solver(Instance(g, agents), SolverConfig(time_limit=60))
     root = solver._make_root()
     c = VertexConflict(0, 1, Vertex(1, 1, 0), 1)
     root.conflicts = [c]
@@ -85,7 +103,5 @@ def test_over_the_cap_is_memoised_as_cardinal_without_bypass(cap):
     assert solver._find_conflict(root) == (c, None, mdd_mod.CARDINAL)
     key = solver._memo_key(root, c)
     assert key[4:] == _conflict_key(c)
-    assert solver.labels == {key: (mdd_mod.CARDINAL, root.omegas[0], root.omegas[1])}
+    assert solver.labels == {key: (mdd_mod.CARDINAL, None, root.omegas[0], root.omegas[1])}
     assert (solver.stats.classify_calls, solver.stats.label_hits) == (1, 1)
-    assert not solver._try_bypass(root, c, None)
-    assert solver.bypasses == {key: None}

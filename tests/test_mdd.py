@@ -190,9 +190,8 @@ def test_classify_cardinal(flat3):
     pj = plan(j, flat3, ConstraintSet())
     node = _ct([pi, pj], [ConstraintSet(), ConstraintSet()])
     c = VertexConflict(0, 1, Vertex(1, 1, 1), 1)
-    label, joint = classify(node, c, flat3, (i, j))
-    assert label == CARDINAL
-    assert find_bypass(node, c, flat3, (i, j), joint) is None
+    assert classify(node, c, flat3, (i, j)) == (CARDINAL, ())
+    assert find_bypass(node, c, flat3, (i, j)) is None
 
 
 def test_classify_semi_cardinal(flat3):
@@ -204,8 +203,8 @@ def test_classify_semi_cardinal(flat3):
     pj = Path(((Vertex(1, 2, 0), 0), (Vertex(1, 1, 0), 1), (Vertex(1, 0, 0), 2)))
     node = _ct([pi, pj], [ConstraintSet(), ConstraintSet()])
     c = VertexConflict(0, 1, Vertex(1, 1, 0), 1)
-    label, joint = classify(node, c, flat3, (i, j))
-    assert label == SEMI_CARDINAL
+    label, found = classify(node, c, flat3, (i, j))
+    assert label == SEMI_CARDINAL and [a for a, _ in found] == [0]
     # enumeration agrees: j has no equal-cost path avoiding (1,0)@1
     assert all((Vertex(1, 1, 0), 1) in p for p in enumerate_cost_d_paths(j, flat3, ConstraintSet(), 2))
     assert any((Vertex(1, 1, 0), 1) not in p for p in enumerate_cost_d_paths(i, flat3, ConstraintSet(), 2))
@@ -222,11 +221,11 @@ def test_classify_non_cardinal_and_bypass(flat3):
     pj = Path(((Vertex(1, 2, 1), 0), (Vertex(1, 1, 1), 1), (Vertex(1, 1, 2), 2)))
     node = _ct([pi, pj], [ConstraintSet(), ConstraintSet()])
     c = VertexConflict(0, 1, Vertex(1, 1, 1), 1)
-    label, joint = classify(node, c, flat3, (i, j))
+    label, found = classify(node, c, flat3, (i, j))
     assert label == NON_CARDINAL
-    found = find_bypass(node, c, flat3, (i, j), joint)
-    assert found is not None
-    agent_id, new_path = found
+    assert [a for a, _ in found] == [0, 1]
+    assert find_bypass(node, c, flat3, (i, j)) == found[0]
+    agent_id, new_path = found[0]
     assert new_path.cost == node.paths[agent_id].cost
     # adopting the bypass removes this conflict from the joint plan
     paths = [pi, pj]
@@ -236,7 +235,7 @@ def test_classify_non_cardinal_and_bypass(flat3):
                for c2 in remaining)
 
 
-def test_size_cap_falls_back_to_cardinal():
+def test_size_cap_falls_back_to_cardinal(monkeypatch):
     g = parse_map("type mapf-e\nfloors 1\nheight 4\nwidth 4\ntfloor 1\n"
                   + "....\n" * 4)
     from mapfe.cbs import VertexConflict
@@ -246,8 +245,8 @@ def test_size_cap_falls_back_to_cardinal():
     pj = plan(j, g, ConstraintSet())
     node = _ct([pi, pj], [ConstraintSet(), ConstraintSet()])
     c = VertexConflict(0, 1, Vertex(1, 1, 0), 1)
-    label, joint = classify(node, c, g, (i, j), node_cap=3)
-    assert label == CARDINAL and joint is None
+    monkeypatch.setattr(mdd_mod, "NODE_CAP", 3)
+    assert classify(node, c, g, (i, j)) == (CARDINAL, None)
 
 
 def test_boarding_conflict_is_cardinal_when_one_elevator(corridor2):
@@ -260,7 +259,7 @@ def test_boarding_conflict_is_cardinal_when_one_elevator(corridor2):
     assert label == CARDINAL
 
 
-def test_joint_over_its_cap_is_cardinal_without_bypass():
+def test_joint_over_its_cap_is_cardinal_without_bypass(monkeypatch):
     # both MDD-Es fit under the cap; the joint search for a bypass does not
     g = parse_map("type mapf-e\nfloors 1\nheight 4\nwidth 4\ntfloor 1\n" + "....\n" * 4)
     i = Agent(0, Vertex(1, 0, 0), Vertex(1, 3, 3))
@@ -269,13 +268,15 @@ def test_joint_over_its_cap_is_cardinal_without_bypass():
     node = _ct([plan(a, g, ConstraintSet()) for a in agents], [ConstraintSet(), ConstraintSet()])
     c = VertexConflict(0, 1, Vertex(1, 1, 0), 1)
     cap = 20
-    mdds = [build_mdd_e(a, 6, ConstraintSet(), g, node_cap=cap) for a in agents]
+    joints: dict = {}
+    label, found = classify(node, c, g, agents, joints)
+    (joint,) = joints.values()
+    assert label == NON_CARDINAL and len(found) == 2 and joint.pairs > cap
+    monkeypatch.setattr(mdd_mod, "NODE_CAP", cap)
+    mdds = [build_mdd_e(a, 6, ConstraintSet(), g) for a in agents]
     assert all(sum(map(len, m.levels.values())) == 16 for m in mdds)
-    label, joint = classify(node, c, g, agents)
-    assert label == NON_CARDINAL and joint.pairs > cap
-    assert classify(node, c, g, agents, node_cap=cap) == (CARDINAL, None)
-    assert find_bypass(node, c, g, agents, node_cap=cap) is None
-    assert find_bypass(node, c, g, agents, build_joint(*mdds, node_cap=cap)) is None
+    assert classify(node, c, g, agents) == (CARDINAL, None)
+    assert find_bypass(node, c, g, agents) is None
 
 
 def test_unavoidable_side_sees_a_ride_spanning_the_level():
@@ -305,7 +306,7 @@ def test_classify_matches_enumeration(instance):
     real = mdd_mod.classify
 
     def checked(node, c, *args, **kwargs):
-        label, joint = real(node, c, *args, **kwargs)
+        label, found = real(node, c, *args, **kwargs)
         costs = [p.cost for p in node.paths]
         assert label == classify_by_enumeration(c, agents, graph, node.omegas, costs), c
         for a in (c.i, c.j):
@@ -313,7 +314,7 @@ def test_classify_matches_enumeration(instance):
             if mdd_mod._unavoidable(own, c, a):
                 paths = enumerate_cost_d_paths(agents[a], graph, node.omegas[a], costs[a])
                 assert all(path_commits(c, a, p, graph) for p in paths), (c, a)
-        return label, joint
+        return label, found
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mdd_mod, "classify", checked)

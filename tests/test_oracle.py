@@ -1,10 +1,14 @@
 import random
 
+from hypothesis import HealthCheck, given, settings
+
 from mapfe.bench import ExperimentConfig, gen_instance
 from mapfe.cbs import SolverConfig, solve, validate
 from mapfe.model import parse_map, parse_scenario
 from mapfe.oracle import oracle_solve
 from mapfe.sipp import ConstraintSet, plan
+
+from test_incremental import ALL_VARIANTS, multi_floor_instances
 
 
 def test_single_agent_matches_low_level(corridor2_t3):
@@ -69,3 +73,30 @@ def test_agreement_with_all_variants_on_random_instances():
                                                time_limit=20))
                 assert got.status == "solved"
                 assert got.solution.g == expected.g
+
+
+def test_agreement_with_all_variants_beyond_two_floors():
+    # 3-4 floors with per-elevator travel times. An example the oracle cannot
+    # decide within its horizon, or a variant's timeout, is no comparison.
+    runs, compared = [0], [0]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(multi_floor_instances(floors=(3, 4), agents=(2, 3)))
+    def sweep(inst):
+        expected = oracle_solve(inst)
+        runs[0] += len(ALL_VARIANTS)
+        if expected.status == "unknown":
+            return
+        for ec, mdde in ALL_VARIANTS:
+            got = solve(inst, SolverConfig(ec_enabled=ec, mdde_enabled=mdde, time_limit=2))
+            if got.status == "timeout":
+                continue
+            compared[0] += 1
+            assert got.status == expected.status, (ec, mdde)
+            if got.status == "solved":
+                assert got.solution.g == expected.g, (ec, mdde)
+                assert validate(inst, list(got.solution.paths)) == []
+
+    sweep()
+    assert compared[0] >= 0.9 * runs[0] > 0, (compared[0], runs[0])
