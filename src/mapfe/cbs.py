@@ -119,6 +119,7 @@ class SolveStats:
     bypasses: int = 0
     classify_calls: int = 0  # conflicts classified on their joint MDD-E
     label_hits: int = 0  # conflict labels the solve's memo answered
+    joint_pairs: int = 0  # joint MDD-E pairs the classifications expanded
     plans: int = 0  # single-agent SIPP plans run by the solve
     plan_reuses: int = 0  # plan requests the solve's memo answered
     mdd_builds: int = 0  # MDD-Es built by the solve
@@ -392,6 +393,7 @@ class _Solver:
                 best = (rank, c, entry[1])
             if rank == 0:
                 break
+        self.stats.joint_pairs += sum(joint.pairs for joint in joint_cache.values())
         self.mdde_time += time.perf_counter() - t_start
         return best[1], best[2], mdd_mod.LABELS[best[0]]
 

@@ -161,6 +161,7 @@ def _cmd_solve(args) -> int:
           f"runtime_ms={stats.runtime * 1000.0:.3f} "
           f"mdde_time_fraction={stats.mdde_time_fraction:.4f} "
           f"classify_calls={stats.classify_calls} label_hits={stats.label_hits} "
+          f"joint_pairs={stats.joint_pairs} "
           f"plans={stats.plans} plan_reuses={stats.plan_reuses} "
           f"mdd_builds={stats.mdd_builds} mdd_reuses={stats.mdd_reuses} "
           f"distance_fields={stats.distance_fields}")

@@ -11,10 +11,12 @@ each one once (`MddECache`) and stores every node, level and successor
 tuple once. Classification first asks each agent's own MDD-E whether every
 cost-d path commits that agent's side of the conflict (`_unavoidable`, the
 ICBS width-1 test widened to elevator conflicts); only the other sides are
-searched in the joint product, which expands pairs on demand and stops as
-soon as a search frontier dies. A search that reaches the last level is
-that agent's bypass, so `classify` returns the label and the bypasses of
-one search together.
+searched in the joint product, which expands pairs on demand. The search is
+depth-first and stops at the first complete pair path in successor order,
+the path a breadth-first search would return, having expanded only the
+pairs it walked through. A search that reaches the last level is that
+agent's bypass, so `classify` returns the label and the bypasses of one
+search together.
 
 A joint component is a plain `MddENode`, read together with the level t it
 sits at: node.time == t stands on node.vertex, node.time < t is parked at
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 from .elevator import ElevatorUsage, busy_interval, door_in_window, usages_overlap
 from .model import Agent, MultiFloorGraph, Vertex, ride_visits
-from .sipp import INF, ConstraintSet, Path, _Heuristic
+from .sipp import INF, ConstraintSet, Path, _Heuristic, interval_contains
 
 CARDINAL = "cardinal"
 SEMI_CARDINAL = "semi-cardinal"
@@ -103,7 +105,8 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
     from its index."""
     heur = heuristic if heuristic is not None else _Heuristic(agent, graph)
     moves = heur.index.moves
-    goal_bans = constraints.vertex_bans.get(agent.goal, ())
+    vertex_bans, edge_bans = constraints.vertex_bans, constraints.edge_bans
+    goal_bans = vertex_bans.get(agent.goal, ())
     if any(hi >= d for _, hi in goal_bans):
         return MddE(agent, d, {}, {}, graph)  # parking at the goal is blocked
 
@@ -133,9 +136,10 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
             for u in (n.vertex, *moves.get(n.vertex, ())):
                 if table.get(u, INF) > d - (t + 1):
                     continue
-                if constraints.vertex_banned(u, t + 1):
+                bans = vertex_bans.get(u)
+                if bans and interval_contains(bans, t + 1):
                     continue
-                if u != n.vertex and (n.vertex, u, t) in constraints.edge_bans:
+                if edge_bans and u != n.vertex and (n.vertex, u, t) in edge_bans:
                     continue
                 add(n, MddENode(u, t + 1, n.elevator, n.board_time))
             if cross and not rode:
@@ -304,10 +308,11 @@ class JointMddE:
     reaches it.
 
     Pairs are expanded on demand: `successors` computes one pair's
-    successors and keeps them, and `levels` holds the root level until
-    `all_levels` expands the whole product. `pairs` counts the expanded
-    pairs; past `NODE_CAP` every search of this joint raises
-    `MddSizeExceeded`."""
+    successors and keeps them, so the depth-first bypass searches of both
+    sides, and of every conflict of the two agents in one CT node, expand
+    each pair once. `levels` holds the root level until `all_levels`
+    expands the whole product. `pairs` counts the expanded pairs; past
+    `NODE_CAP` every search of this joint raises `MddSizeExceeded`."""
 
     mdd_a: MddE
     mdd_b: MddE
@@ -377,8 +382,8 @@ def _pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra: _Trans, trb: _Trans,
     if (tra.u is not None and tra.w is not None and trb.u is not None and trb.w is not None
             and tra.u == trb.w and tra.w == trb.u and tra.u != tra.w):
         return True  # swap
-    if not elevator_aware:
-        return False
+    if not elevator_aware or (sa.elevator == -1 and sb.elevator == -1):
+        return False  # every elevator check below needs a boarded side
     if sa.elevator != -1 and sa.elevator == sb.elevator and usages_overlap(
             mdd_a.ride(sa), mdd_b.ride(sb)):
         return True
@@ -460,9 +465,12 @@ def _unavoidable(mdd: MddE, conflict, agent_id: int) -> bool:
 
 def _bypass_comps(joint: JointMddE, conflict, agent_id: int) -> list | None:
     """The agent's components along a complete conflict-free pair path that
-    avoids its own participation in the conflict, or None. The breadth-first
-    search expands joint pairs only as it reaches them and stops at the
-    first empty frontier."""
+    avoids its own participation in the conflict, or None. The search is
+    depth-first and takes each pair's successors in `JointMddE.successors`
+    order, so the first path it completes is the first complete path in
+    that order, the one a breadth-first search would return. A pair met
+    again was searched to the end without completing and is skipped, so
+    only the pairs the search walks through are expanded."""
     side = 0 if joint.mdd_a.agent.id == agent_id else 1
     mdd = joint.mdd_a if side == 0 else joint.mdd_b
     if not joint.levels or _unavoidable(mdd, conflict, agent_id):
@@ -471,33 +479,32 @@ def _bypass_comps(joint: JointMddE, conflict, agent_id: int) -> list | None:
     root = joint.levels[0][0]
     if _violates_node(conflict, agent_id, mdd, root[side], 0):
         return None
-    parent: dict[tuple[int, tuple], tuple] = {(0, root): None}
-    frontier = [root]
-    for t in range(joint.t_end):
-        nxt = []
-        for pair in frontier:
-            for succ, tra, trb in joint.successors(t, pair):
-                key = (t + 1, succ)
-                if key in parent:
-                    continue
-                tr = tra if side == 0 else trb
-                if _violates_edge(conflict, agent_id, tr, t):
-                    continue
-                if _violates_node(conflict, agent_id, mdd, succ[side], t + 1):
-                    continue
-                parent[key] = (t, pair)
-                nxt.append(succ)
-        if not nxt:
-            return None
-        frontier = nxt
-    end = frontier[0]
-    comps = [end[side]]
-    key = (joint.t_end, end)
-    while parent[key] is not None:
-        key = parent[key]
-        comps.append(key[1][side])
-    comps.reverse()
-    return comps
+    t_end = joint.t_end
+    if t_end == 0:
+        return [root[side]]
+    path = [root]  # the pairs of levels 0..len(path)-1 on the current branch
+    stack = [iter(joint.successors(0, root))]  # their untried successors
+    seen: set[tuple[int, tuple]] = set()
+    while stack:
+        t = len(path)
+        for succ, tra, trb in stack[-1]:
+            key = (t, succ)
+            if key in seen:
+                continue
+            if _violates_edge(conflict, agent_id, tra if side == 0 else trb, t - 1):
+                continue
+            if _violates_node(conflict, agent_id, mdd, succ[side], t):
+                continue
+            if t == t_end:
+                return [pair[side] for pair in path] + [succ[side]]
+            seen.add(key)
+            path.append(succ)
+            stack.append(iter(joint.successors(t, succ)))
+            break
+        else:
+            stack.pop()
+            path.pop()
+    return None
 
 
 def _comps_to_path(comps: list, mdd: MddE) -> Path:

@@ -328,3 +328,48 @@ def classify_by_enumeration(conflict, agents, graph: MultiFloorGraph, omegas, co
     if has_i or has_j:
         return "semi-cardinal"
     return "cardinal"
+
+
+def bypass_comps_breadth_first(joint, conflict, agent_id: int) -> list | None:
+    """The breadth-first bypass search over a `mdd.JointMddE`, kept as the
+    reference for the solver's depth-first one: level by level, each pair
+    reached first through the earliest pair of the level before, in
+    `successors` order, and the first pair of the last level traced back.
+    It shares the joint product and the conflict-side tests with the
+    solver, and checks only the order of the search."""
+    from mapfe import mdd as mdd_mod
+
+    side = 0 if joint.mdd_a.agent.id == agent_id else 1
+    mdd = joint.mdd_a if side == 0 else joint.mdd_b
+    if not joint.levels or mdd_mod._unavoidable(mdd, conflict, agent_id):
+        return None
+    joint.check_cap()
+    root = joint.levels[0][0]
+    if mdd_mod._violates_node(conflict, agent_id, mdd, root[side], 0):
+        return None
+    parent: dict[tuple[int, tuple], tuple | None] = {(0, root): None}
+    frontier = [root]
+    for t in range(joint.t_end):
+        nxt = []
+        for pair in frontier:
+            for succ, tra, trb in joint.successors(t, pair):
+                key = (t + 1, succ)
+                if key in parent:
+                    continue
+                if mdd_mod._violates_edge(conflict, agent_id, tra if side == 0 else trb, t):
+                    continue
+                if mdd_mod._violates_node(conflict, agent_id, mdd, succ[side], t + 1):
+                    continue
+                parent[key] = (t, pair)
+                nxt.append(succ)
+        if not nxt:
+            return None
+        frontier = nxt
+    end = frontier[0]
+    comps = [end[side]]
+    key = (joint.t_end, end)
+    while parent[key] is not None:
+        key = parent[key]
+        comps.append(key[1][side])
+    comps.reverse()
+    return comps

@@ -27,9 +27,29 @@ def test_solve_prints_cost_paths_and_stats(golden_files, capsys):
     assert lines[2].startswith("agent 1: (3,0,0)@0")
     assert lines[3].startswith("stats expanded=")
     assert "mdd_builds=" in lines[3] and "mdd_reuses=" in lines[3]
+    # the conflict is a boarding clash both agents' MDD-Es commit to: cardinal
+    # from the width-1 test alone, with no joint search
+    assert "classify_calls=1 label_hits=0 joint_pairs=0 " in lines[3]
     # one field per goal, plus the door field of each agent's start floor
     fields = lines[3].split()
     assert fields[-2].startswith("mdd_reuses=") and fields[-1] == "distance_fields=4"
+
+
+def test_joint_pairs_count_the_joint_search_and_read_0_without_mdde(tmp_path, capsys):
+    map_path = tmp_path / "g.map"
+    scen_path = tmp_path / "g.scen"
+    assert main(["gen", "--size", "6", "--floors", "2", "--elevators", "2",
+                 "--tfloor", "2", "--agents", "5", "--seed", "3",
+                 "--out-map", str(map_path), "--out-scen", str(scen_path)]) == 0
+    counts = {}
+    for mdde in ("on", "off"):
+        capsys.readouterr()
+        assert main(["solve", "--map", str(map_path), "--scen", str(scen_path),
+                     "--mdde", mdde]) == 0
+        stats = capsys.readouterr().out.splitlines()[-1].split()
+        counts[mdde] = dict(field.split("=") for field in stats[1:])
+    assert int(counts["on"]["classify_calls"]) > 0 and int(counts["on"]["joint_pairs"]) > 0
+    assert counts["off"]["classify_calls"] == counts["off"]["joint_pairs"] == "0"
 
 
 def test_solve_validate_round_trip(golden_files, tmp_path, capsys):

@@ -12,10 +12,11 @@ from hypothesis import HealthCheck, given, settings
 
 from mapfe import mdd as mdd_mod
 from mapfe.bench import ExperimentConfig, gen_instance
-from mapfe.cbs import SolverConfig, VertexConflict, _conflict_key, _Solver, solve
-from mapfe.model import Agent, Instance, Vertex, parse_map
+from mapfe.cbs import SolverConfig, _conflict_key, _Solver, solve
+from mapfe.model import Instance
 
 from test_incremental import PINNED, multi_floor_instances
+from test_mdd import _parked_in_the_way
 
 
 @settings(max_examples=30, deadline=None, derandomize=True,
@@ -91,13 +92,12 @@ def test_the_solver_searches_each_bypass_once(monkeypatch):
 @pytest.mark.parametrize("cap", [5, 20])  # 5: each MDD-E is over it; 20: only the joint
 def test_over_the_cap_is_memoised_as_cardinal_without_bypass(cap, monkeypatch):
     # as test_joint_over_its_cap_is_cardinal_without_bypass: under the default
-    # cap the conflict is non-cardinal and both agents have a bypass
+    # cap the conflict is semi-cardinal; agent 0 has no bypass, although its
+    # own MDD-E leaves its side open, so its joint search crosses a cap of 20
     monkeypatch.setattr(mdd_mod, "NODE_CAP", cap)
-    g = parse_map("type mapf-e\nfloors 1\nheight 4\nwidth 4\ntfloor 1\n" + "....\n" * 4)
-    agents = (Agent(0, Vertex(1, 0, 0), Vertex(1, 3, 3)), Agent(1, Vertex(1, 3, 0), Vertex(1, 0, 3)))
+    g, agents, c = _parked_in_the_way()
     solver = _Solver(Instance(g, agents), SolverConfig(time_limit=60))
     root = solver._make_root()
-    c = VertexConflict(0, 1, Vertex(1, 1, 0), 1)
     root.conflicts = [c]
     assert solver._find_conflict(root) == (c, None, mdd_mod.CARDINAL)
     assert solver._find_conflict(root) == (c, None, mdd_mod.CARDINAL)

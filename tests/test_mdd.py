@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from mapfe import mdd as mdd_mod
-from mapfe.cbs import SolverConfig, VertexConflict, solve
+from mapfe.cbs import SolverConfig, VertexConflict, _Solver, solve
 from mapfe.mdd import (
     CARDINAL,
     NON_CARDINAL,
@@ -20,6 +20,7 @@ from mapfe.model import Agent, Vertex, parse_map, parse_scenario
 from mapfe.sipp import ConstraintSet, plan
 
 from reference import (
+    bypass_comps_breadth_first,
     classify_by_enumeration,
     enumerate_cost_d_paths,
     joint_levels_by_enumeration,
@@ -259,22 +260,31 @@ def test_boarding_conflict_is_cardinal_when_one_elevator(corridor2):
     assert label == CARDINAL
 
 
+def _parked_in_the_way():
+    """Agent 0's own MDD-E reaches its goal (2,4) at t=6 through (2,3) or
+    (3,4) at t=5, so `_unavoidable` leaves its side of a conflict at (3,4)@5
+    open. Agent 1 arrives at (2,3) at t=5 and parks there, so no joint path
+    avoids (3,4)@5 and agent 0's search exhausts every pair it can reach;
+    agent 1 has a bypass."""
+    g = parse_map("type mapf-e\nfloors 1\nheight 5\nwidth 5\ntfloor 1\n" + ".....\n" * 5)
+    agents = (Agent(0, Vertex(1, 4, 0), Vertex(1, 2, 4)), Agent(1, Vertex(1, 0, 0), Vertex(1, 2, 3)))
+    return g, agents, VertexConflict(0, 1, Vertex(1, 3, 4), 5)
+
+
 def test_joint_over_its_cap_is_cardinal_without_bypass(monkeypatch):
-    # both MDD-Es fit under the cap; the joint search for a bypass does not
-    g = parse_map("type mapf-e\nfloors 1\nheight 4\nwidth 4\ntfloor 1\n" + "....\n" * 4)
-    i = Agent(0, Vertex(1, 0, 0), Vertex(1, 3, 3))
-    j = Agent(1, Vertex(1, 3, 0), Vertex(1, 0, 3))
-    agents = (i, j)
+    # both MDD-Es fit under the cap; the joint search of the side without a
+    # bypass does not
+    g, agents, c = _parked_in_the_way()
     node = _ct([plan(a, g, ConstraintSet()) for a in agents], [ConstraintSet(), ConstraintSet()])
-    c = VertexConflict(0, 1, Vertex(1, 1, 0), 1)
     cap = 20
     joints: dict = {}
     label, found = classify(node, c, g, agents, joints)
     (joint,) = joints.values()
-    assert label == NON_CARDINAL and len(found) == 2 and joint.pairs > cap
+    assert label == SEMI_CARDINAL and [a for a, _ in found] == [1] and joint.pairs > cap
+    assert not mdd_mod._unavoidable(joint.mdd_a, c, 0)
     monkeypatch.setattr(mdd_mod, "NODE_CAP", cap)
-    mdds = [build_mdd_e(a, 6, ConstraintSet(), g) for a in agents]
-    assert all(sum(map(len, m.levels.values())) == 16 for m in mdds)
+    mdds = [build_mdd_e(a, p.cost, ConstraintSet(), g) for a, p in zip(agents, node.paths)]
+    assert [sum(map(len, m.levels.values())) for m in mdds] == [15, 12]
     assert classify(node, c, g, agents) == (CARDINAL, None)
     assert find_bypass(node, c, g, agents) is None
 
@@ -320,3 +330,27 @@ def test_classify_matches_enumeration(instance):
         mp.setattr(mdd_mod, "classify", checked)
         for ec in (False, True):
             solve(instance, SolverConfig(ec_enabled=ec, mdde_enabled=True, time_limit=0.25))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(multi_floor_instances())
+def test_depth_first_bypass_equals_the_breadth_first_reference(instance):
+    """On every conflict of the root and of the root's children, each side's
+    depth-first bypass search returns the components the breadth-first
+    reference returns, and expands no more joint pairs (each search runs on
+    a fresh joint)."""
+    graph, agents = instance.graph, instance.agents
+    solver = _Solver(instance, SolverConfig(ec_enabled=True, mdde_enabled=True))
+    root = solver._make_root()
+    if root is None:
+        return
+    nodes = [root] + [child for c in root.conflicts for child in solver._branch(root, c)]
+    for node in nodes:
+        for c in node.conflicts:
+            for agent_id in (c.i, c.j):
+                depth, breadth = (mdd_mod._joint(node, c, graph, agents, None, solver.mdds)
+                                  for _ in range(2))
+                comps = mdd_mod._bypass_comps(depth, c, agent_id)
+                assert comps == bypass_comps_breadth_first(breadth, c, agent_id), (c, agent_id)
+                assert depth.pairs <= breadth.pairs
