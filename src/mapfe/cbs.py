@@ -19,16 +19,20 @@ the same parent set; `ConstraintSet` derives each (parent, ban) child
 once, so those branches share one set object and every memo keyed by a
 set's identity hits across them. A child replans one agent, so it keeps
 its parent's conflicts that do not involve that agent and rescans only
-that agent against the others. It also keeps the other agents'
+that agent against the others. About half the children are never
+expanded, so a child is planned at once but scanned only when it reaches
+the top of the open list: until then it holds its parent's list and is
+queued under the count of that list's conflicts without the replanned
+agent, a lower bound on its own count. A child also keeps the other agents'
 constraint sets, and so their MDD-Es: a conflict's label and bypass depend
 only on the two MDD-Es and the conflict, and one joint search
 (`mdd.classify`) yields both, so it runs once per solve per triple and
 both are memoised under it. The memo holds labels and bypass paths, never
 a joint MDD-E; a joint lives for one expansion.
-Invariant: every CT node's conflict list equals `enumerate_conflicts` over
-its paths, in `_conflict_key` order, which is a total order on a plan's
-conflicts. `validate` keeps the full scan and certifies every returned
-plan.
+Invariant: every expanded CT node's conflict list equals
+`enumerate_conflicts` over its paths, in `_conflict_key` order, which is a
+total order on a plan's conflicts. `validate` keeps the full scan and
+certifies every returned plan.
 """
 from __future__ import annotations
 
@@ -122,6 +126,8 @@ class SolveStats:
     joint_pairs: int = 0  # joint MDD-E pairs the classifications expanded
     plans: int = 0  # single-agent SIPP plans run by the solve
     plan_reuses: int = 0  # plan requests the solve's memo answered
+    scans: int = 0  # one-agent conflict scans: popped children, bypass candidates
+    peak_open: int = 0  # the largest open-list size
     mdd_builds: int = 0  # MDD-Es built by the solve
     mdd_reuses: int = 0  # MDD-E requests the solve's memo answered
     distance_fields: int = 0  # grid BFS fields the solve computed
@@ -143,15 +149,29 @@ class SolveResult:
 
 @dataclass(slots=True)
 class CTNode:
+    """A CT node. A child is queued unscanned: `conflicts` is then its
+    parent's list, shared with its sibling, and `replanned` the agent whose
+    path differs from the parent's; `_Solver._scan` makes the list its own."""
+
     paths: list[Path]
     g: int
     omegas: list[ConstraintSet]
     conflicts: list[Conflict]
     seq: int
+    replanned: int | None = None
 
     @property
     def conflict_count(self) -> int:
         return len(self.conflicts)
+
+    @property
+    def count_bound(self) -> int:
+        """The conflict count, or for an unscanned child a lower bound on
+        it: its parent's conflicts that do not involve the replanned agent."""
+        k = self.replanned
+        if k is None:
+            return len(self.conflicts)
+        return sum(1 for c in self.conflicts if c.i != k and c.j != k)
 
 
 def _timeline(path: Path, horizon: int) -> list[Vertex | None]:
@@ -173,24 +193,48 @@ def enumerate_conflicts(paths: list[Path], graph: MultiFloorGraph, agent: int | 
     out: list[Conflict] = list(detect_elevator_conflicts(paths, graph, agent, rides))
     if len(paths) >= 2:
         horizon = max(p.cost for p in paths)
-        where = [_timeline(p, horizon) for p in paths]
         if agent is None:
-            pairs = itertools.combinations(range(len(paths)), 2)
+            where = [_timeline(p, horizon) for p in paths]
+            for i, j in itertools.combinations(range(len(paths)), 2):
+                at_i, at_j = where[i], where[j]
+                for t in range(horizon + 1):
+                    vi, vj = at_i[t], at_j[t]
+                    if vi == vj and vi is not None:
+                        out.append(VertexConflict(i, j, vi, t))
+                    elif t < horizon:
+                        wi, wj = at_i[t + 1], at_j[t + 1]
+                        if (vi == wj and wi == vj and vi is not None and wi is not None
+                                and vi != wi and vi.floor == wi.floor):
+                            out.append(EdgeConflict(i, j, vi, wi, t))
         else:
-            pairs = ((min(agent, j), max(agent, j)) for j in range(len(paths)) if j != agent)
-        for i, j in pairs:
-            at_i, at_j = where[i], where[j]
-            for t in range(horizon + 1):
-                vi, vj = at_i[t], at_j[t]
-                if vi == vj and vi is not None:
-                    out.append(VertexConflict(i, j, vi, t))
-                elif t < horizon:
-                    wi, wj = at_i[t + 1], at_j[t + 1]
-                    if (vi == wj and wi == vj and vi is not None and wi is not None
-                            and vi != wi and vi.floor == wi.floor):
-                        out.append(EdgeConflict(i, j, vi, wi, t))
+            _agent_grid_conflicts(paths, agent, horizon, out)
     out.sort(key=_conflict_key)
     return out
+
+
+def _agent_grid_conflicts(paths: list[Path], k: int, horizon: int, out: list[Conflict]) -> None:
+    """Append agent k's vertex and edge conflicts with every other agent:
+    only k gets a timeline, and each other path's steps, then its parked
+    tail at the goal, are looked up in it."""
+    at = _timeline(paths[k], horizon)
+    for j, path in enumerate(paths):
+        if j == k:
+            continue
+        lo, hi = (j, k) if j < k else (k, j)
+        steps = path.steps
+        v, t = steps[0]
+        if at[t] == v:
+            out.append(VertexConflict(lo, hi, v, t))
+        for (v, t), (w, tw) in itertools.pairwise(steps):
+            u = at[tw]
+            if u == w:
+                out.append(VertexConflict(lo, hi, w, tw))
+            elif u == v and at[t] == w and v.floor == w.floor:  # a swap: j moves v->w, k w->v
+                out.append(EdgeConflict(j, k, v, w, t) if j < k else EdgeConflict(k, j, w, v, t))
+        end, cost = path.end, path.cost
+        if end in at[cost + 1:]:
+            out.extend(VertexConflict(lo, hi, end, t)
+                       for t in range(cost + 1, horizon + 1) if at[t] == end)
 
 
 def validate(instance: Instance, paths: list[Path]) -> list[Conflict]:
@@ -266,12 +310,21 @@ class _Solver:
         root = self._make_root()
         if root is None:
             return self._finish("infeasible", None)
-        heap: list[tuple[int, int, int, CTNode]] = []
-        heapq.heappush(heap, (root.g, root.conflict_count, root.seq, root))
+        # keyed (g, conflict count, seq); an unscanned child is keyed by a
+        # lower bound on its count and scanned only when it reaches the
+        # top. Keys are unique by seq, so every node expanded is the one
+        # that scanning each child at once would expand next.
+        heap: list[tuple[int, int, int, CTNode]] = [(root.g, root.conflict_count, root.seq, root)]
+        self.stats.peak_open = 1
         while heap:
             if time.perf_counter() - self.t0 > self.config.time_limit:
                 return self._finish("timeout", None)
-            _, _, _, node = heapq.heappop(heap)
+            _, count, _, node = heapq.heappop(heap)
+            if node.replanned is not None:
+                self._scan(node)
+                if node.conflict_count > count:
+                    heapq.heappush(heap, (node.g, node.conflict_count, node.seq, node))
+                    continue
             self.stats.expanded += 1
             conflict, bypass, _ = self._find_conflict(node)
             if conflict is None:
@@ -284,7 +337,8 @@ class _Solver:
             self.stats.branchings[kind] = self.stats.branchings.get(kind, 0) + 1
             for child in self._branch(node, conflict):
                 self.stats.generated += 1
-                heapq.heappush(heap, (child.g, child.conflict_count, child.seq, child))
+                heapq.heappush(heap, (child.g, child.count_bound, child.seq, child))
+            self.stats.peak_open = max(self.stats.peak_open, len(heap))
         return self._finish("infeasible", None)
 
     def _finish(self, status: str, node: CTNode | None) -> SolveResult:
@@ -333,6 +387,7 @@ class _Solver:
     def _rescan(self, node: CTNode, agent_id: int, paths: list[Path]) -> list[Conflict]:
         """Conflicts of `paths`, which differ from node's only in agent_id's
         path: the node's conflicts without that agent, plus a rescan of it."""
+        self.stats.scans += 1
         conflicts = [c for c in node.conflicts if c.i != agent_id and c.j != agent_id]
         # siblings and cousins rescan the same plans into equal conflicts;
         # CT nodes share one object per distinct conflict of the solve
@@ -341,6 +396,12 @@ class _Solver:
                       for c in enumerate_conflicts(paths, self.graph, agent_id, self.rides)]
         conflicts.sort(key=_conflict_key)
         return conflicts
+
+    def _scan(self, node: CTNode) -> None:
+        """Give an unscanned child its own conflict list."""
+        if node.replanned is not None:
+            node.conflicts = self._rescan(node, node.replanned, node.paths)
+            node.replanned = None
 
     def _make_root(self) -> CTNode | None:
         paths: list[Path] = []
@@ -443,8 +504,8 @@ class _Solver:
             paths[agent_id] = path
             omegas = list(node.omegas)
             omegas[agent_id] = omega
-            children.append(CTNode(paths, sum(p.cost for p in paths), omegas,
-                                   self._rescan(node, agent_id, paths), self._next_seq()))
+            children.append(CTNode(paths, sum(p.cost for p in paths), omegas, node.conflicts,
+                                   self._next_seq(), agent_id))
         return children
 
 

@@ -177,9 +177,12 @@ def detect_elevator_conflicts(paths, graph: MultiFloorGraph, agent: int | None =
     conflicts: list[ElevatorConflict] = []
     agents = range(len(paths))
     for i in agents:
+        # with `agent` given, only its own pairs: all of them when it rides,
+        # else each other rider's pair with it
+        others = agents if agent is None or agent == i else (agent,)
         for u_i in usages[i]:
-            for j in agents:
-                if j == i or (agent is not None and agent != i and agent != j):
+            for j in others:
+                if j == i:
                     continue
                 for u_j in usages[j]:
                     if u_j.elevator == u_i.elevator and j > i and usages_overlap(u_i, u_j):

@@ -52,6 +52,25 @@ def test_joint_pairs_count_the_joint_search_and_read_0_without_mdde(tmp_path, ca
     assert counts["off"]["classify_calls"] == counts["off"]["joint_pairs"] == "0"
 
 
+def test_children_are_scanned_only_when_they_reach_the_top(tmp_path, capsys):
+    # C7 desk instance under range constraints without MDD-Es: most children
+    # are generated, queued under a lower bound and never popped
+    map_path = tmp_path / "c7.map"
+    scen_path = tmp_path / "c7.scen"
+    assert main(["gen", "--size", "8", "--floors", "2", "--elevators", "3", "--tfloor", "3",
+                 "--agents", "6", "--seed", "777002",
+                 "--out-map", str(map_path), "--out-scen", str(scen_path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--map", str(map_path), "--scen", str(scen_path),
+                 "--ec", "on", "--mdde", "off"]) == 0
+    fields = capsys.readouterr().out.splitlines()[-1].split()
+    assert fields[1].startswith("expanded=") and fields[2].startswith("generated=")
+    assert fields[3].startswith("scans=") and fields[4].startswith("peak_open=")
+    stats = {name: int(value) for name, value in (f.split("=") for f in fields[1:5])}
+    assert 0 < stats["scans"] < stats["generated"]
+    assert 0 < stats["peak_open"] <= stats["generated"]
+
+
 def test_solve_validate_round_trip(golden_files, tmp_path, capsys):
     map_path, scen_path = golden_files
     plan_path = tmp_path / "plan.txt"

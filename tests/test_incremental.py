@@ -1,9 +1,11 @@
 """Work the solver does once per solve, and the incremental conflict lists.
 
-A child CT node replans one agent and rescans only that agent; its
-conflict list must equal a full `enumerate_conflicts`, order included.
-The search counters pinned below were produced by the full-rescan solver,
-so any drift in the search itself shows here.
+A child CT node replans one agent and rescans only that agent, and only
+once it reaches the top of the open list; its conflict list must equal a
+full `enumerate_conflicts`, order included, and the solver must expand
+the nodes a solver that scans every child at once expands. The search
+counters pinned below were produced by the full-rescan solver, so any
+drift in the search itself shows here.
 """
 import subprocess
 import sys
@@ -15,8 +17,10 @@ from hypothesis import strategies as st
 
 import mapfe
 from mapfe.bench import ExperimentConfig, gen_instance
-from mapfe.cbs import SolverConfig, _Solver, enumerate_conflicts, solve, validate
-from mapfe.model import parse_map, parse_scenario
+from mapfe.cbs import SolverConfig, VertexConflict, _Solver, enumerate_conflicts, solve, validate
+from mapfe.elevator import detect_elevator_conflicts
+from mapfe.model import Vertex, parse_map, parse_scenario
+from mapfe.sipp import Path as Plan
 
 ALL_VARIANTS = [(False, False), (True, False), (False, True), (True, True)]
 
@@ -53,6 +57,8 @@ def multi_floor_instances(draw, floors=(2, 4), agents=(2, 4)):
           suppress_health_check=[HealthCheck.too_slow])
 @given(multi_floor_instances())
 def test_incremental_conflicts_equal_a_full_scan(instance):
+    # every list but the root's comes from `_rescan`: popped children's
+    # deferred scans and bypass candidates alike
     rescan = _Solver._rescan
 
     def checked_rescan(self, node, agent_id, paths):
@@ -67,6 +73,92 @@ def test_incremental_conflicts_equal_a_full_scan(instance):
                                                   time_limit=0.25))
             if result.status == "solved":
                 assert validate(instance, list(result.solution.paths)) == []
+
+
+class _Enough(Exception):
+    """Ends a solve after a fixed number of expansions."""
+
+
+class _EagerSolver(_Solver):
+    """Scans every child as it is generated, so each is queued under its
+    exact conflict count."""
+
+    def _branch(self, node, c):
+        children = super()._branch(node, c)
+        for child in children:
+            self._scan(child)
+        return children
+
+
+def _expansions(solver_type, instance, config, cap=200):
+    """(seq, g, conflict count) of each node the solver expands, in order,
+    up to `cap` expansions."""
+    expanded = []
+
+    class Recording(solver_type):
+        def _find_conflict(self, node):
+            expanded.append((node.seq, node.g, len(node.conflicts)))
+            if len(expanded) == cap:
+                raise _Enough
+            return super()._find_conflict(node)
+
+    try:
+        Recording(instance, config).run()
+    except _Enough:
+        pass
+    return expanded
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(multi_floor_instances())
+def test_deferred_scans_expand_the_nodes_eager_scans_expand(instance):
+    for ec, mdde in ALL_VARIANTS:
+        config = SolverConfig(ec_enabled=ec, mdde_enabled=mdde, time_limit=60)
+        eager = _expansions(_EagerSolver, instance, config)
+        assert _expansions(_Solver, instance, config) == eager, (ec, mdde)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(multi_floor_instances(agents=(3, 6)))
+def test_one_agent_scans_equal_the_full_scans_filtered(instance):
+    """On the plans of the CT nodes a plain CBS solve generates, each
+    agent's scan is the full scan's conflicts involving that agent, in the
+    full scan's order."""
+    graph = instance.graph
+    plans = []
+
+    class Collecting(_Solver):
+        def _branch(self, node, c):
+            children = super()._branch(node, c)
+            plans.extend(child.paths for child in children)
+            if len(plans) >= 40:
+                raise _Enough
+            return children
+
+    solver = Collecting(instance, SolverConfig(ec_enabled=False, mdde_enabled=False,
+                                               time_limit=0.25))
+    try:
+        solver.run()
+    except _Enough:
+        pass
+    for paths in plans:
+        full = enumerate_conflicts(paths, graph)
+        elevator = detect_elevator_conflicts(paths, graph)
+        for k in range(len(paths)):
+            assert enumerate_conflicts(paths, graph, k) == [c for c in full if k in (c.i, c.j)]
+            assert detect_elevator_conflicts(paths, graph, k) == \
+                [c for c in elevator if k in (c.i, c.j)]
+
+
+def test_one_agent_scan_sees_a_shared_start(flat3):
+    # no scenario starts two agents on one vertex, but a plan may
+    paths = [Plan(((Vertex(1, 0, 0), 0), (Vertex(1, 1, 0), 1))),
+             Plan(((Vertex(1, 0, 0), 0), (Vertex(1, 0, 1), 1)))]
+    full = enumerate_conflicts(paths, flat3)
+    assert full == [VertexConflict(0, 1, Vertex(1, 0, 0), 0)]
+    assert enumerate_conflicts(paths, flat3, 0) == enumerate_conflicts(paths, flat3, 1) == full
 
 
 # (N, seed) -> per variant in ALL_VARIANTS order: (g, expanded, generated,

@@ -347,6 +347,7 @@ def test_depth_first_bypass_equals_the_breadth_first_reference(instance):
         return
     nodes = [root] + [child for c in root.conflicts for child in solver._branch(root, c)]
     for node in nodes:
+        solver._scan(node)  # a child is generated unscanned
         for c in node.conflicts:
             for agent_id in (c.i, c.j):
                 depth, breadth = (mdd_mod._joint(node, c, graph, agents, None, solver.mdds)
