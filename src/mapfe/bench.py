@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
 from .cbs import SolverConfig, solve
-from .model import Agent, Elevator, FloorGrid, Instance, MultiFloorGraph, Vertex, neighbors
+from .model import Agent, Elevator, FloorGrid, Instance, MultiFloorGraph, Vertex
+from .sipp import INF, GridIndex, cost_to_go
 
 VARIANTS: dict[str, tuple[bool, bool]] = {
     "cbs": (False, False),
@@ -106,21 +107,6 @@ class ResultRecord:
     mdde_time_fraction: float
 
 
-def _reachable(graph: MultiFloorGraph, agent: Agent) -> bool:
-    seen = {(agent.start, False)}
-    stack = [(agent.start, False)]
-    while stack:
-        v, rode = stack.pop()
-        if v == agent.goal:
-            return True
-        for u, _, kind in neighbors(graph, v, rode):
-            nxt = (u, rode or kind == "board")
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
 def gen_instance(cfg: ExperimentConfig, n_agents: int, seed: int,
                  floors: int | None = None, tfloor: int | None = None,
                  retries: int = 200) -> Instance:
@@ -154,7 +140,8 @@ def gen_instance(cfg: ExperimentConfig, n_agents: int, seed: int,
             for i, ((sf, sc), (gf, gc)) in enumerate(zip(starts, goals))
         )
         instance = Instance(graph, agents)
-        if all(_reachable(graph, a) for a in agents):
+        index = GridIndex(graph)
+        if all(cost_to_go(a, graph, index).value(a.start, False) < INF for a in agents):
             return instance
     raise GenerationError(f"no routable instance after {retries} attempts (seed {seed})")
 

@@ -13,7 +13,7 @@ solver is, each agent's unconstrained heuristic is built once from it and
 shared by every replan and MDD-E of that agent, each (agent, constraint
 set) is planned once (`_Solver.plans`) and each MDD-E built once per
 (agent, cost, constraint set) (`mdd.MddECache`), both kept for the rest
-of the solve, and each path's rides and door presences are extracted once
+of the solve, and each path's ride and door presences are extracted once
 (`elevator.RideSummaries`). Sibling subtrees keep adding the same ban to
 the same parent set; `ConstraintSet` derives each (parent, ban) child
 once, so those branches share one set object and every memo keyed by a

@@ -5,6 +5,8 @@ l_g at time t_g it must travel to the next requester's floor before the
 next boarding, so relative to a door on floor f the elevator is busy over
 the closed window [t_s, t_g + |l_g - f| * t_floor]. Boarding overlaps and
 door presences inside such windows are the two elevator-conflict variants.
+Each path takes at most one ride, so an agent's elevator usage is one
+`ElevatorUsage` or none, read from the path by `extract_ride`.
 """
 from __future__ import annotations
 
@@ -54,11 +56,6 @@ class ElevatorConflict:
     usage_j: ElevatorUsage | None = None  # boarding variant only
     vertex: Vertex | None = None          # occupancy variant only
 
-    def sort_key(self) -> tuple:
-        kind_rank = 0 if self.kind == "boarding" else 1
-        return (self.time, min(self.i, self.j), max(self.i, self.j), kind_rank,
-                self.elevator, self.vertex or Vertex(0, 0, 0))
-
 
 def busy_interval(u: ElevatorUsage, next_floor: int) -> tuple[int, int]:
     """Closed interval during which u's elevator cannot serve a boarding
@@ -90,47 +87,28 @@ def door_in_window(rider: ElevatorUsage, floor: int, t: int, own: ElevatorUsage 
     return lo <= t <= hi
 
 
-def extract_usages(steps: list[tuple[Vertex, int]], graph: MultiFloorGraph) -> list[ElevatorUsage]:
-    """Rides contained in a timed path, recovered from its shaft steps
-    (same cell, adjacent floors, t_floor spacing). Paths take at most one
-    ride but the scan is general."""
-    usages: list[ElevatorUsage] = []
-    open_ride: tuple[int, int, int] | None = None  # (elevator, t_s, l_s)
-    for (v, t), (w, tw) in zip(steps, steps[1:]):
-        shaft = (v.x, v.y) == (w.x, w.y) and abs(w.floor - v.floor) == 1
-        if shaft:
-            e = graph.elevator_at(v)
-            assert e is not None and tw - t == e.t_floor
-            if open_ride is None:
-                open_ride = (e.id, t, v.floor)
-        elif open_ride is not None:
-            k, t_s, l_s = open_ride
-            usages.append(ElevatorUsage(-1, k, t_s, l_s, v.floor, graph.elevators[k].t_floor))
-            open_ride = None
-    if open_ride is not None:
-        k, t_s, l_s = open_ride
-        last = steps[-1][0]
-        usages.append(ElevatorUsage(-1, k, t_s, l_s, last.floor, graph.elevators[k].t_floor))
-    return usages
-
-
-def _door_presences(steps: list[tuple[Vertex, int]], graph: MultiFloorGraph) -> list[tuple[int, Vertex, int]]:
-    """(elevator id, vertex, time) for every step standing at a door."""
-    out = []
-    for v, t in steps:
-        e = graph.elevator_at(v)
-        if e is not None:
-            out.append((e.id, v, t))
-    return out
+def extract_ride(steps: list[tuple[Vertex, int]], graph: MultiFloorGraph, agent: int) -> ElevatorUsage | None:
+    """The agent's ride in a timed path, or None when the path never
+    changes floor. A path takes at most one ride (`cbs.validate` rejects a
+    second before it scans), so the ride spans the first to the last floor
+    change: it boards at the step before the first and exits on the path's
+    last floor."""
+    floor = steps[0][0].floor
+    first = next((i for i, (v, _) in enumerate(steps) if v.floor != floor), None)
+    if first is None:
+        return None
+    door, t_s = steps[first - 1]
+    e = graph.elevator_at(door)
+    return ElevatorUsage(agent, e.id, t_s, floor, steps[-1][0].floor, e.t_floor)
 
 
 class RideSummaries:
-    """Each path's rides (stamped with its agent's id) and door presences,
-    extracted once per solve. Summaries are keyed by path identity, and
-    the memo keeps every path it has summarised alive, so an id is never
-    reused; a path belongs to one agent in a solve. Equal summaries are
-    stored once: an agent's replans mostly keep its ride, and paths with
-    no ride and no door step all share one summary."""
+    """Each path's ride (stamped with its agent's id, or None) and door
+    presences, extracted once per solve. Summaries are keyed by path
+    identity, and the memo keeps every path it has summarised alive, so an
+    id is never reused; a path belongs to one agent in a solve. Equal
+    summaries are stored once: an agent's replans mostly keep its ride, and
+    paths with no ride and no door step all share one summary."""
 
     def __init__(self, graph: MultiFloorGraph):
         self.graph = graph
@@ -139,13 +117,14 @@ class RideSummaries:
         self.summaries: dict[tuple, tuple] = {}
 
     def get(self, agent: int, path) -> tuple:
-        """(rides, door presences) of agent's path."""
+        """(ride or None, door presences) of agent's path; a presence is
+        (elevator id, door vertex, time)."""
         summary = self.by_path.get(id(path))
         if summary is None:
             steps = path.steps
-            usages = tuple([ElevatorUsage(agent, u.elevator, u.t_s, u.l_s, u.l_g, u.t_floor)
-                            for u in extract_usages(steps, self.graph)])
-            summary = (usages, tuple(_door_presences(steps, self.graph)))
+            at = self.graph.elevator_at
+            presences = tuple([(e.id, v, t) for v, t in steps if (e := at(v)) is not None])
+            summary = (extract_ride(steps, self.graph, agent), presences)
             summary = self.by_path[id(path)] = self.summaries.setdefault(summary, summary)
             self.paths.append(path)
         return summary
@@ -166,37 +145,33 @@ def detect_elevator_conflicts(paths, graph: MultiFloorGraph, agent: int | None =
     indexed by agent id. With `agent` given, only the conflicts that
     involve that agent are reported. `rides` is the solve's per-path
     summary memo; without one the summaries are extracted afresh. Results
-    are ordered by (time, agent pair).
+    come in scan order, by rider and then by the other agent, and a
+    one-agent scan keeps the full scan's order; `cbs.enumerate_conflicts`
+    sorts them into the solver's conflict order.
     """
     if rides is None:
         rides = RideSummaries(graph)
     summaries = [rides.get(a, path) for a, path in enumerate(paths)]
-    usages = [s[0] for s in summaries]
-    presences = [s[1] for s in summaries]
 
     conflicts: list[ElevatorConflict] = []
     agents = range(len(paths))
     for i in agents:
+        u_i = summaries[i][0]
+        if u_i is None:
+            continue
+        k = u_i.elevator
         # with `agent` given, only its own pairs: all of them when it rides,
         # else each other rider's pair with it
-        others = agents if agent is None or agent == i else (agent,)
-        for u_i in usages[i]:
-            for j in others:
-                if j == i:
-                    continue
-                for u_j in usages[j]:
-                    if u_j.elevator == u_i.elevator and j > i and usages_overlap(u_i, u_j):
-                        conflicts.append(ElevatorConflict(
-                            "boarding", i, j, u_i.elevator,
-                            max(u_i.t_s, u_j.t_s), u_i, u_j))
-                if not presences[j]:
-                    continue
-                own = {u.elevator: u for u in usages[j]}
-                for k, v, t in presences[j]:
-                    if k == u_i.elevator and door_in_window(u_i, v.floor, t, own.get(k)):
-                        conflicts.append(ElevatorConflict(
-                            "occupancy", u_i.agent, j, k, t, u_i, None, v))
-    conflicts.sort(key=ElevatorConflict.sort_key)
+        for j in (agents if agent is None or agent == i else (agent,)):
+            if j == i:
+                continue
+            u_j, presences = summaries[j]
+            own = u_j if u_j is not None and u_j.elevator == k else None
+            if own is not None and j > i and usages_overlap(u_i, own):
+                conflicts.append(ElevatorConflict("boarding", i, j, k, max(u_i.t_s, own.t_s), u_i, own))
+            for e, v, t in presences:
+                if e == k and door_in_window(u_i, v.floor, t, own):
+                    conflicts.append(ElevatorConflict("occupancy", i, j, k, t, u_i, None, v))
     return conflicts
 
 

@@ -293,12 +293,8 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
         if cross and not rode:
             e = graph.elevator_at(v)
             if e is not None:
-                t_o = abs(agent.goal_floor - v.floor) * e.t_floor
-                target = Vertex(agent.goal_floor, e.cell[0], e.cell[1])
+                *inner, (target, t_o) = ride_visits(graph, e.id, v.floor, agent.goal_floor, 0)
                 h_t = heur.value(target, True)
-                step = 1 if agent.goal_floor > v.floor else -1
-                inner = [(Vertex(fl, e.cell[0], e.cell[1]), abs(fl - v.floor) * e.t_floor)
-                         for fl in range(v.floor + step, agent.goal_floor, step)]
                 for tidx, (lo, hi) in enumerate(safe.get(target, _ALWAYS_SAFE) if h_t < INF else ()):
                     dep = max(g, lo - t_o)
                     dep_hi = min(cur_hi, hi - t_o)

@@ -77,7 +77,7 @@ def test_gen_instance_is_seed_deterministic():
 
 
 def test_gen_instance_properties():
-    from mapfe.bench import _reachable
+    from mapfe.sipp import ConstraintSet, plan
     cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
                            tfloor=3, agents=[5], instances=1)
     inst = gen_instance(cfg, 5, seed=3)
@@ -86,7 +86,7 @@ def test_gen_instance_properties():
     assert len(inst.agents) == 5
     assert graph.grids[0] == graph.grids[1]  # shared layout
     for a in inst.agents:
-        assert _reachable(graph, a)
+        assert plan(a, graph, ConstraintSet()) is not None
 
 
 def test_gen_instance_rejects_overfull_maps():

@@ -14,7 +14,6 @@ from mapfe.elevator import (
 from mapfe.model import Vertex, parse_map, parse_scenario
 from mapfe.sipp import ConstraintSet, plan
 
-from conftest import TWO_FLOOR_CORRIDOR
 from reference import replay_elevator_conflicts
 
 
@@ -138,12 +137,10 @@ def test_boarding_after_window_is_legal(corridor2):
 
 
 def test_detect_matches_replay_scan_on_random_paths():
-    g = parse_map(TWO_FLOOR_CORRIDOR.replace("width 5", "width 6").replace("...", "...."))
     rng = random.Random(11)
     from mapfe.bench import ExperimentConfig, gen_instance
-    from mapfe.cbs import solve, SolverConfig
     for trial in range(25):
-        cfg = ExperimentConfig(size=5, obstacle_rate=0.1, floors=2, elevators=2,
+        cfg = ExperimentConfig(size=5, obstacle_rate=0.1, floors=2 + trial % 3, elevators=2,
                                tfloor=rng.choice([1, 2]), agents=[3], instances=1)
         inst = gen_instance(cfg, 3, seed=300 + trial)
         paths = [plan(a, inst.graph, ConstraintSet()) for a in inst.agents]
@@ -156,7 +153,7 @@ def test_detect_matches_replay_scan_on_random_paths():
 def test_conflict_free_plans_never_share_a_shaft():
     from mapfe.bench import ExperimentConfig, gen_instance
     from mapfe.cbs import solve, SolverConfig
-    from mapfe.elevator import extract_usages
+    from mapfe.elevator import extract_ride
     for trial in range(12):
         cfg = ExperimentConfig(size=5, obstacle_rate=0.0, floors=3, elevators=1,
                                tfloor=2, agents=[3], instances=1)
@@ -165,8 +162,9 @@ def test_conflict_free_plans_never_share_a_shaft():
         if result.solution is None:
             continue
         spans = []
-        for path in result.solution.paths:
-            for u in extract_usages(list(path.steps), inst.graph):
+        for a, path in enumerate(result.solution.paths):
+            u = extract_ride(path.steps, inst.graph, a)
+            if u is not None:
                 spans.append((u.elevator, u.t_s, u.t_g))
         for (k1, s1, g1) in spans:
             for (k2, s2, g2) in spans:

@@ -236,10 +236,11 @@ def test_solver_builds_one_heuristic_per_agent(monkeypatch):
         built.append(agent.id)
         return heuristic(agent, graph, index)
 
-    monkeypatch.setattr(sipp, "_Heuristic", counting)
     cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
                            tfloor=3, agents=[6], instances=1)
-    result = solve(gen_instance(cfg, 6, seed=777_002), SolverConfig(time_limit=60))
+    instance = gen_instance(cfg, 6, seed=777_002)  # its routability check builds heuristics too
+    monkeypatch.setattr(sipp, "_Heuristic", counting)
+    result = solve(instance, SolverConfig(time_limit=60))
     assert result.stats.expanded > 1
     assert built == list(range(6))
 
