@@ -14,7 +14,8 @@ shared by every replan and MDD-E of that agent, each (agent, constraint
 set) is planned once (`_Solver.plans`) and each MDD-E built once per
 (agent, cost, constraint set) (`mdd.MddECache`), both kept for the rest
 of the solve, and each path's ride and door presences are extracted once
-(`elevator.RideSummaries`). Sibling subtrees keep adding the same ban to
+(`elevator.RideSummaries`) and kept per agent with each CT node, so a scan
+reads them off the node. Sibling subtrees keep adding the same ban to
 the same parent set; `ConstraintSet` derives each (parent, ban) child
 once, so those branches share one set object and every memo keyed by a
 set's identity hits across them. A child replans one agent, so it keeps
@@ -51,7 +52,8 @@ _KIND_RANK = {"vertex": 0, "edge": 1, "boarding": 2, "occupancy": 3}
 
 
 class PathStructureError(ValueError):
-    """A plan is malformed (disconnected steps, bad timing, double ride)."""
+    """A plan is malformed (disconnected steps, bad timing, double ride, a
+    ride that turns round in the shaft)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +127,7 @@ class SolveStats:
     label_hits: int = 0  # conflict labels the solve's memo answered
     joint_pairs: int = 0  # joint MDD-E pairs the classifications expanded
     plans: int = 0  # single-agent SIPP plans run by the solve
+    plan_time: float = 0.0  # seconds inside those plans
     plan_reuses: int = 0  # plan requests the solve's memo answered
     scans: int = 0  # one-agent conflict scans: popped children, bypass candidates
     peak_open: int = 0  # the largest open-list size
@@ -149,15 +152,18 @@ class SolveResult:
 
 @dataclass(slots=True)
 class CTNode:
-    """A CT node. A child is queued unscanned: `conflicts` is then its
-    parent's list, shared with its sibling, and `replanned` the agent whose
-    path differs from the parent's; `_Solver._scan` makes the list its own."""
+    """A CT node. In a node the solver built, `rides` holds each path's
+    (ride, door presences) summary. A child is queued unscanned:
+    `conflicts` and `rides` are then its parent's, shared with its
+    sibling, and `replanned` the agent whose path differs from the
+    parent's; `_Solver._scan` gives the child its own."""
 
-    paths: list[Path]
+    paths: tuple[Path, ...]
     g: int
-    omegas: list[ConstraintSet]
+    omegas: tuple[ConstraintSet, ...]
     conflicts: list[Conflict]
     seq: int
+    rides: tuple | None = None
     replanned: int | None = None
 
     @property
@@ -174,6 +180,14 @@ class CTNode:
         return sum(1 for c in self.conflicts if c.i != k and c.j != k)
 
 
+def _with_entry(items, k: int, item) -> tuple:
+    """A tuple of items with entry k replaced: a CT node holds its paths
+    and constraint sets as tuples, the smallest sequence per node."""
+    out = list(items)
+    out[k] = item
+    return tuple(out)
+
+
 def _timeline(path: Path, horizon: int) -> list[Vertex | None]:
     """Vertex occupied at each time 0..horizon: None while inside a shaft,
     the goal once the path has ended (finished agents park there)."""
@@ -185,11 +199,12 @@ def _timeline(path: Path, horizon: int) -> list[Vertex | None]:
 
 
 def enumerate_conflicts(paths: list[Path], graph: MultiFloorGraph, agent: int | None = None,
-                        rides: RideSummaries | None = None) -> list[Conflict]:
+                        rides: tuple | None = None) -> list[Conflict]:
     """Every vertex, edge, and elevator conflict of the joint plan, with
     finished agents parked at their goals, in `_conflict_key` order. With
-    `agent` given, only the conflicts that involve that agent. `rides` is
-    the solve's memo of each path's rides and door presences."""
+    `agent` given, only the conflicts that involve that agent. `rides`
+    holds each path's ride and door presences (`RideSummaries.get`);
+    without it they are extracted afresh."""
     out: list[Conflict] = list(detect_elevator_conflicts(paths, graph, agent, rides))
     if len(paths) >= 2:
         horizon = max(p.cost for p in paths)
@@ -255,6 +270,7 @@ def _check_structure(agent, path: Path, graph: MultiFloorGraph) -> None:
         raise PathStructureError(f"agent {agent.id}: path must end at the goal")
     rides = 0
     in_ride = False
+    direction = 0  # +1 up or -1 down, the current ride's first floor change
     for (v, tv), (w, tw) in zip(steps, steps[1:]):
         if not graph.passable(v) or not graph.passable(w):
             raise PathStructureError(f"agent {agent.id}: blocked vertex on path")
@@ -274,6 +290,10 @@ def _check_structure(agent, path: Path, graph: MultiFloorGraph) -> None:
             if not in_ride:
                 rides += 1
                 in_ride = True
+                direction = w.floor - v.floor
+            elif w.floor - v.floor != direction:
+                raise PathStructureError(f"agent {agent.id}: a ride turns round in the shaft "
+                                         f"at {v}@{tv}")
     if rides > 1:
         raise PathStructureError(f"agent {agent.id}: more than one elevator ride")
     if len(steps) >= 2 and steps[-1][0] == steps[-2][0]:
@@ -371,7 +391,9 @@ class _Solver:
         key = (agent_id, id(omega))
         entry = self.plans.get(key)
         if entry is None:
+            t_start = time.perf_counter()
             path = plan(self.agents[agent_id], self.graph, omega, self.heuristics[agent_id])
+            self.stats.plan_time += time.perf_counter() - t_start
             entry = self.plans[key] = (omega, None if path is None else self._intern(path))
             self.stats.plans += 1
         else:
@@ -385,22 +407,25 @@ class _Solver:
         return Path(tuple([steps.setdefault(s, s) for s in path.steps]))
 
     def _rescan(self, node: CTNode, agent_id: int, paths: list[Path]) -> list[Conflict]:
-        """Conflicts of `paths`, which differ from node's only in agent_id's
-        path: the node's conflicts without that agent, plus a rescan of it."""
+        """Conflicts of `paths`, which `node.rides` summarises and which
+        differ only in agent_id's path from the plan of `node.conflicts`:
+        those conflicts without that agent, plus a rescan of it."""
         self.stats.scans += 1
         conflicts = [c for c in node.conflicts if c.i != agent_id and c.j != agent_id]
         # siblings and cousins rescan the same plans into equal conflicts;
         # CT nodes share one object per distinct conflict of the solve
         shared = self.shared_conflicts
         conflicts += [shared.setdefault(c, c)
-                      for c in enumerate_conflicts(paths, self.graph, agent_id, self.rides)]
+                      for c in enumerate_conflicts(paths, self.graph, agent_id, node.rides)]
         conflicts.sort(key=_conflict_key)
         return conflicts
 
     def _scan(self, node: CTNode) -> None:
-        """Give an unscanned child its own conflict list."""
-        if node.replanned is not None:
-            node.conflicts = self._rescan(node, node.replanned, node.paths)
+        """Give an unscanned child its own ride summaries and conflict list."""
+        k = node.replanned
+        if k is not None:
+            node.rides = self.rides.with_path(node.rides, k, node.paths[k])
+            node.conflicts = self._rescan(node, k, node.paths)
             node.replanned = None
 
     def _make_root(self) -> CTNode | None:
@@ -413,8 +438,10 @@ class _Solver:
                 return None
             paths.append(path)
             omegas.append(omega)
-        conflicts = enumerate_conflicts(paths, self.graph, rides=self.rides)
-        node = CTNode(paths, sum(p.cost for p in paths), omegas, conflicts, self._next_seq())
+        rides = tuple([self.rides.get(agent_id, path) for agent_id, path in enumerate(paths)])
+        conflicts = enumerate_conflicts(paths, self.graph, rides=rides)
+        node = CTNode(tuple(paths), sum(p.cost for p in paths), tuple(omegas), conflicts,
+                      self._next_seq(), rides)
         self.stats.generated += 1
         return node
 
@@ -463,13 +490,15 @@ class _Solver:
         reduces the node's conflict count; strict decrease keeps the loop
         finite."""
         agent_id, new_path = bypass
-        candidate = list(node.paths)
-        candidate[agent_id] = new_path
-        conflicts = self._rescan(node, agent_id, candidate)
+        paths = _with_entry(node.paths, agent_id, new_path)
+        candidate = CTNode(paths, node.g, node.omegas, node.conflicts, node.seq,
+                           self.rides.with_path(node.rides, agent_id, new_path))
+        conflicts = self._rescan(candidate, agent_id, paths)
         if len(conflicts) >= node.conflict_count:
             return False
-        node.paths = candidate
+        node.paths = paths
         node.conflicts = conflicts
+        node.rides = candidate.rides
         self.stats.bypasses += 1
         return True
 
@@ -500,12 +529,10 @@ class _Solver:
             path = self._plan(agent_id, omega)
             if path is None:
                 continue
-            paths = list(node.paths)
-            paths[agent_id] = path
-            omegas = list(node.omegas)
-            omegas[agent_id] = omega
-            children.append(CTNode(paths, sum(p.cost for p in paths), omegas, node.conflicts,
-                                   self._next_seq(), agent_id))
+            paths = _with_entry(node.paths, agent_id, path)
+            children.append(CTNode(paths, sum(p.cost for p in paths),
+                                   _with_entry(node.omegas, agent_id, omega), node.conflicts,
+                                   self._next_seq(), node.rides, agent_id))
         return children
 
 

@@ -160,6 +160,7 @@ def _cmd_solve(args) -> int:
     print(f"stats expanded={stats.expanded} generated={stats.generated} "
           f"scans={stats.scans} peak_open={stats.peak_open} "
           f"runtime_ms={stats.runtime * 1000.0:.3f} "
+          f"plan_time_ms={stats.plan_time * 1000.0:.3f} "
           f"mdde_time_fraction={stats.mdde_time_fraction:.4f} "
           f"classify_calls={stats.classify_calls} label_hits={stats.label_hits} "
           f"joint_pairs={stats.joint_pairs} "

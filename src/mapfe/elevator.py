@@ -108,13 +108,16 @@ class RideSummaries:
     identity, and the memo keeps every path it has summarised alive, so an
     id is never reused; a path belongs to one agent in a solve. Equal
     summaries are stored once: an agent's replans mostly keep its ride, and
-    paths with no ride and no door step all share one summary."""
+    paths with no ride and no door step all share one summary. So are equal
+    plans' tuples of summaries (`with_path`), which CT nodes hold: a long
+    solve's nodes share a few hundred of them."""
 
     def __init__(self, graph: MultiFloorGraph):
         self.graph = graph
         self.by_path: dict[int, tuple] = {}
         self.paths: list = []
         self.summaries: dict[tuple, tuple] = {}
+        self.tuples: dict[tuple, tuple] = {}
 
     def get(self, agent: int, path) -> tuple:
         """(ride or None, door presences) of agent's path; a presence is
@@ -129,9 +132,18 @@ class RideSummaries:
             self.paths.append(path)
         return summary
 
+    def with_path(self, rides: tuple, agent: int, path) -> tuple:
+        """`rides`, a plan's summaries indexed by agent, with the agent's
+        entry taken from `path`."""
+        summary = self.get(agent, path)
+        if rides[agent] is summary:
+            return rides
+        out = rides[:agent] + (summary,) + rides[agent + 1:]
+        return self.tuples.setdefault(out, out)
+
 
 def detect_elevator_conflicts(paths, graph: MultiFloorGraph, agent: int | None = None,
-                              rides: RideSummaries | None = None) -> list[ElevatorConflict]:
+                              rides: tuple | None = None) -> list[ElevatorConflict]:
     """All elevator conflicts of a joint plan, per the two variants:
 
     - boarding: two usages of the same elevator with overlapping busy
@@ -143,20 +155,21 @@ def detect_elevator_conflicts(paths, graph: MultiFloorGraph, agent: int | None =
 
     `paths` is a sequence of objects with a `steps` list of (Vertex, time),
     indexed by agent id. With `agent` given, only the conflicts that
-    involve that agent are reported. `rides` is the solve's per-path
-    summary memo; without one the summaries are extracted afresh. Results
+    involve that agent are reported. `rides` holds each path's summary
+    (`RideSummaries.get`), indexed like `paths`; without it the summaries
+    are extracted afresh. Results
     come in scan order, by rider and then by the other agent, and a
     one-agent scan keeps the full scan's order; `cbs.enumerate_conflicts`
     sorts them into the solver's conflict order.
     """
     if rides is None:
-        rides = RideSummaries(graph)
-    summaries = [rides.get(a, path) for a, path in enumerate(paths)]
+        memo = RideSummaries(graph)
+        rides = tuple([memo.get(a, path) for a, path in enumerate(paths)])
 
     conflicts: list[ElevatorConflict] = []
     agents = range(len(paths))
     for i in agents:
-        u_i = summaries[i][0]
+        u_i = rides[i][0]
         if u_i is None:
             continue
         k = u_i.elevator
@@ -165,7 +178,7 @@ def detect_elevator_conflicts(paths, graph: MultiFloorGraph, agent: int | None =
         for j in (agents if agent is None or agent == i else (agent,)):
             if j == i:
                 continue
-            u_j, presences = summaries[j]
+            u_j, presences = rides[j]
             own = u_j if u_j is not None and u_j.elevator == k else None
             if own is not None and j > i and usages_overlap(u_i, own):
                 conflicts.append(ElevatorConflict("boarding", i, j, k, max(u_i.t_s, own.t_s), u_i, own))

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .elevator import ElevatorUsage, busy_interval, door_in_window, usages_overlap
 from .model import Agent, MultiFloorGraph, Vertex, ride_visits
-from .sipp import INF, ConstraintSet, Path, _Heuristic, interval_contains
+from .sipp import ConstraintSet, Path, _Heuristic, interval_contains
 
 CARDINAL = "cardinal"
 SEMI_CARDINAL = "semi-cardinal"
@@ -101,10 +101,9 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
     DAG. Forward timed reachability is intersected with backward
     completability, so every kept node sits on a root-to-goal path of cost
     exactly d (an arrival at d, not a goal wait). `heuristic` is the
-    agent's `sipp.cost_to_go`, built here when not given; grid moves come
-    from its index."""
+    agent's `sipp.cost_to_go`, built here when not given; grid moves and
+    their costs-to-go come from its successor table."""
     heur = heuristic if heuristic is not None else _Heuristic(agent, graph)
-    moves = heur.index.moves
     vertex_bans, edge_bans = constraints.vertex_bans, constraints.edge_bans
     goal_bans = vertex_bans.get(agent.goal, ())
     if any(hi >= d for _, hi in goal_bans):
@@ -113,10 +112,13 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
     root = MddENode(agent.start, 0, -1, -1)
     if constraints.vertex_banned(agent.start, 0) or heur.value(agent.start, False) > d:
         return MddE(agent, d, {}, {}, graph)
+    # levels and successor sets stay unordered until the final sort, so
+    # the forward pass may visit a level in any order
     levels: dict[int, set[MddENode]] = {0: {root}}
     edges: dict[MddENode, set[MddENode]] = {}
     count = 1
     cross = agent.start_floor != agent.goal_floor
+    succ = heur.succ
 
     def add(src: MddENode, dst: MddENode) -> None:
         nonlocal count
@@ -128,60 +130,59 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
         edges.setdefault(src, set()).add(dst)
 
     for t in range(d):
-        for n in sorted(levels.get(t, ())):
+        slack = d - (t + 1)  # the most cost-to-go a level-(t+1) node may have
+        nxt = levels.setdefault(t + 1, set())
+        for n in levels.get(t, ()):
             if _mid_ride(n, agent, graph):
                 continue  # the forced ride chain was added at boarding time
+            v = n.vertex
             rode = n.elevator != -1
-            table = heur.table(n.vertex.floor, rode)  # waits and moves stay on the floor
-            for u in (n.vertex, *moves.get(n.vertex, ())):
-                if table.get(u, INF) > d - (t + 1):
+            nbrs = succ[rode].get(v)
+            if nbrs is None:
+                nbrs = heur.successors(v, rode)
+            out = set()
+            for u, h_u in ((v, heur.value(v, rode)), *nbrs):  # the wait, then the moves
+                if h_u > slack:
                     continue
                 bans = vertex_bans.get(u)
                 if bans and interval_contains(bans, t + 1):
                     continue
-                if edge_bans and u != n.vertex and (n.vertex, u, t) in edge_bans:
+                if edge_bans and u != v and (v, u, t) in edge_bans:
                     continue
-                add(n, MddENode(u, t + 1, n.elevator, n.board_time))
+                out.add(MddENode(u, t + 1, n.elevator, n.board_time))
+            if out:
+                edges[n] = out
+                size = len(nxt)
+                nxt |= out
+                count += len(nxt) - size
+                if count > NODE_CAP:
+                    raise MddSizeExceeded(f"MDD-E for agent {agent.id} exceeded {NODE_CAP} nodes")
             if cross and not rode:
-                e = graph.elevator_at(n.vertex)
+                e = graph.elevator_at(v)
                 if e is not None:
                     _add_ride(agent, graph, constraints, e, n, d, add)
 
-    # backward completability, excluding a final wait at the goal
-    ends = {n for n in levels.get(d, ()) if n.vertex == agent.goal}
-    redges: dict[MddENode, list[MddENode]] = {}
-    for src, dsts in edges.items():
-        for dst in dsts:
-            redges.setdefault(dst, []).append(src)
-    good: set[MddENode] = set(ends)
-    stack = list(ends)
-    while stack:
-        m = stack.pop()
-        for n in redges.get(m, ()):
-            if m.time == d and m.vertex == agent.goal and n.vertex == m.vertex:
-                continue  # trailing wait: that prefix costs d-1, not d
-            if n not in good:
-                good.add(n)
-                stack.append(n)
+    # backward completability, one level at a time from the last (every
+    # edge goes forward in time), excluding a final wait at the goal
+    goal = agent.goal
+    good = {n for n in levels.get(d, ()) if n.vertex == goal}
+    kept_levels = [(d, tuple(sorted(good)))] if good else []
+    final_edges: dict[MddENode, tuple[MddENode, ...]] = {}
+    for t in range(d - 1, -1, -1):
+        level = []
+        for n in levels.get(t, ()):
+            kept = [m for m in edges.get(n, ()) if m in good]
+            if t == d - 1 and n.vertex == goal:
+                kept = [m for m in kept if m.vertex != goal]  # that prefix costs d-1, not d
+            if kept:
+                final_edges[n] = tuple(sorted(kept))
+                level.append(n)
+        if level:
+            good.update(level)
+            kept_levels.append((t, tuple(sorted(level))))  # gaps are in-shaft times
     if root not in good:
         return MddE(agent, d, {}, {}, graph)
-
-    final_levels: dict[int, tuple[MddENode, ...]] = {}
-    for t in range(d + 1):
-        kept = sorted(n for n in levels.get(t, ()) if n in good)
-        if kept:
-            final_levels[t] = tuple(kept)  # gaps are in-shaft times
-    final_edges: dict[MddENode, tuple[MddENode, ...]] = {}
-    for src, dsts in edges.items():
-        if src not in good:
-            continue
-        kept = tuple(sorted(
-            m for m in dsts
-            if m in good and not (m.time == d and m.vertex == agent.goal and src.vertex == m.vertex)
-        ))
-        if kept:
-            final_edges[src] = kept
-    return MddE(agent, d, final_levels, final_edges, graph)
+    return MddE(agent, d, dict(reversed(kept_levels)), final_edges, graph)
 
 
 def _add_ride(agent, graph, constraints, e, n: MddENode, d: int, add) -> None:

@@ -9,11 +9,12 @@ Grid moves and heuristic distances come from a `GridIndex`, which a solve
 builds once and shares through its agents' heuristics: each vertex's
 4-neighbours, and one BFS distance field per source, so the field of an
 elevator door is computed once however many agents start on its floor.
+Each agent's heuristic joins the two once per (vertex, ride state) into a
+successor table, which the planner and the MDD-E builder read.
 """
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -185,7 +186,9 @@ class _Heuristic:
     the best door, ride, and walk on the goal floor. It ignores constraints,
     so one instance serves every plan and MDD-E of its agent in a solve.
     Its distance fields come from `index`, which the agents of a solve
-    share, so each door's field is computed once for all of them."""
+    share, so each door's field is computed once for all of them. Its
+    successor table, filled as plans and MDD-Es ask, holds each vertex's
+    grid moves per ride state with their cost-to-go (`successors`)."""
 
     def __init__(self, agent: Agent, graph: MultiFloorGraph, index: GridIndex | None = None):
         self.index = index if index is not None else GridIndex(graph)
@@ -206,6 +209,8 @@ class _Heuristic:
                     if val < best.get(v, INF):
                         best[v] = val
             self.pre = best
+        # indexed by the ride state: vertex -> ((neighbour, cost-to-go), ...)
+        self.succ: tuple[dict, dict] = ({}, {})
 
     def table(self, floor: int, rode: bool) -> dict[Vertex, float]:
         """Cost-to-go of the vertices of one floor in one ride state; a
@@ -218,6 +223,17 @@ class _Heuristic:
 
     def value(self, v: Vertex, rode: bool) -> float:
         return self.table(v.floor, rode).get(v, INF)
+
+    def successors(self, v: Vertex, rode: bool) -> tuple[tuple[Vertex, float], ...]:
+        """v's grid moves in one ride state that can still reach the goal,
+        each with its cost-to-go, in `GridIndex.moves` order; computed once
+        per (vertex, ride state), then read from `succ`."""
+        out = self.succ[rode].get(v)
+        if out is None:
+            table = self.table(v.floor, rode)  # grid moves stay on v's floor
+            out = self.succ[rode][v] = tuple([(u, h) for u in self.index.moves.get(v, ())
+                                              if (h := table.get(u, INF)) < INF])
+        return out
 
 
 def cost_to_go(agent: Agent, graph: MultiFloorGraph, index: GridIndex | None = None) -> _Heuristic:
@@ -235,73 +251,99 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
     satisfies the constraints. Ties break on (f, larger g, vertex order);
     waits in the result are retimed toward the start when legal.
     `heuristic` is the agent's `cost_to_go`, built here when not given;
-    grid moves come from its index."""
+    grid moves and their costs-to-go come from its successor table."""
     heur = heuristic if heuristic is not None else _Heuristic(agent, graph)
-    if heur.value(agent.start, False) == INF:
+    start, goal = agent.start, agent.goal
+    h0 = heur.value(start, False)
+    if h0 == INF:
         return None
     horizon = (graph.num_free_vertices() + constraints.max_end()
                + (graph.floors - 1) * max([e.t_floor for e in graph.elevators] or [0]) + 1)
-    moves = heur.index.moves
     edge_bans = constraints.edge_bans
-    # vertices without bans share one interval list
+    # only vertices with bans get an entry: the others have one safe
+    # interval, [0, inf), index 0
     safe = {v: safe_intervals(v, constraints) for v in constraints.vertex_bans}
+    safe_get = safe.get
 
-    start_ivs = safe.get(agent.start, _ALWAYS_SAFE)
+    start_ivs = safe_get(start, _ALWAYS_SAFE)
     start_idx = next((i for i, (lo, hi) in enumerate(start_ivs) if lo <= 0 <= hi), None)
     if start_idx is None:
         return None
+    goal_idx = len(safe_get(goal, _ALWAYS_SAFE)) - 1
 
-    best: dict[tuple[Vertex, int, bool], int] = {(agent.start, start_idx, False): 0}
+    # a state is (vertex, safe-interval index, rode); parent links are
+    # (state, departure, elevator id or None for a grid move)
+    best: dict[tuple[Vertex, int, bool], int] = {(start, start_idx, False): 0}
+    best_get = best.get
     parent: dict[tuple, tuple] = {}
-    counter = itertools.count(1)
-    h0 = heur.value(agent.start, False)
-    heap: list[tuple] = [(h0, 0, agent.start, start_idx, False, 0)]
+    # (f, -g, state...): a state is pushed again only with a smaller g,
+    # so no two entries tie on the whole tuple
+    heap: list[tuple] = [(h0, 0, start, start_idx, False)]
+    push, pop = heapq.heappush, heapq.heappop
+    succ = heur.succ
     cross = agent.start_floor != agent.goal_floor
 
-    def relax(state: tuple, ustate: tuple, arr: int, h_u: float, dep: int, kind: str,
-              elevator) -> None:
-        if arr < best.get(ustate, INF):
-            best[ustate] = arr
-            parent[ustate] = (state, dep, kind, elevator)
-            heapq.heappush(heap, (arr + h_u, -arr, *ustate, next(counter)))
-
     while heap:
-        f, neg_g, v, idx, rode, _ = heapq.heappop(heap)
+        _, neg_g, v, idx, rode = pop(heap)
         g = -neg_g
         state = (v, idx, rode)
-        if best.get(state, -1) != g or g > horizon:
+        if best[state] != g or g > horizon:
             continue
-        ivs = safe.get(v, _ALWAYS_SAFE)
-        if v == agent.goal and idx == len(ivs) - 1:
+        if idx == goal_idx and v == goal:
             return _reconstruct(agent, graph, constraints, parent, state, g)
-        cur_hi = ivs[idx][1]
+        ivs = safe_get(v)
+        cur_hi = INF if ivs is None else ivs[idx][1]
 
-        table = heur.table(v.floor, rode)  # grid moves stay on v's floor
-        for u in moves.get(v, ()):
-            h_u = table.get(u, INF)
-            if h_u == INF:
+        nbrs = succ[rode].get(v)
+        if nbrs is None:
+            nbrs = heur.successors(v, rode)
+        for u, h_u in nbrs:
+            u_ivs = safe_get(u)
+            if u_ivs is None:  # no vertex ban: one interval, [0, inf)
+                dep = g
+                if edge_bans:
+                    while (v, u, dep) in edge_bans:
+                        dep += 1
+                    if dep > cur_hi:
+                        continue
+                arr = dep + 1
+                ustate = (u, 0, rode)
+                if arr < best_get(ustate, INF):
+                    best[ustate] = arr
+                    parent[ustate] = (state, dep, None)
+                    push(heap, (arr + h_u, -arr, u, 0, rode))
                 continue
-            for uidx, (lo, hi) in enumerate(safe.get(u, _ALWAYS_SAFE)):
-                dep = max(g, lo - 1)
+            for uidx, (lo, hi) in enumerate(u_ivs):
+                dep = g if g >= lo - 1 else lo - 1
                 if edge_bans:
                     while (v, u, dep) in edge_bans:
                         dep += 1
                 if dep > cur_hi or dep + 1 > hi:
                     continue
-                relax(state, (u, uidx, rode), dep + 1, h_u, dep, "move", None)
+                arr = dep + 1
+                ustate = (u, uidx, rode)
+                if arr < best_get(ustate, INF):
+                    best[ustate] = arr
+                    parent[ustate] = (state, dep, None)
+                    push(heap, (arr + h_u, -arr, u, uidx, rode))
 
         if cross and not rode:
             e = graph.elevator_at(v)
             if e is not None:
                 *inner, (target, t_o) = ride_visits(graph, e.id, v.floor, agent.goal_floor, 0)
                 h_t = heur.value(target, True)
-                for tidx, (lo, hi) in enumerate(safe.get(target, _ALWAYS_SAFE) if h_t < INF else ()):
+                for tidx, (lo, hi) in enumerate(safe_get(target, _ALWAYS_SAFE) if h_t < INF else ()):
                     dep = max(g, lo - t_o)
                     dep_hi = min(cur_hi, hi - t_o)
                     while dep <= dep_hi:
                         bumped = _board_violation(constraints, e.id, v.floor, inner, dep)
                         if bumped is None:
-                            relax(state, (target, tidx, True), dep + t_o, h_t, dep, "board", e.id)
+                            arr = dep + t_o
+                            ustate = (target, tidx, True)
+                            if arr < best_get(ustate, INF):
+                                best[ustate] = arr
+                                parent[ustate] = (state, dep, e.id)
+                                push(heap, (arr + h_t, -arr, target, tidx, True))
                             break
                         dep = max(dep + 1, bumped)
     return None
@@ -321,74 +363,55 @@ def _board_violation(constraints: ConstraintSet, elevator: int, floor: int,
     return None
 
 
-def _reconstruct(agent, graph, constraints, parent, goal_state, goal_g) -> Path:
-    links = []
-    state = goal_state
+def _reconstruct(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
+                 parent: dict, state: tuple, goal_g: int) -> Path:
+    """The searched path to the goal state, in one backward pass over the
+    parent links, retimed at equal cost so that all waiting pools at the
+    start vertex: the agent departs as late as possible and never loiters
+    en route (in particular not at elevator doors). When the retimed path
+    breaks a constraint, the path as searched, waits where they fell."""
+    edge_bans, boarding_bans = constraints.edge_bans, constraints.boarding_bans
+    links = []  # (from, to, searched departure, elevator id or None), goal first
+    late: list[tuple[Vertex, int]] = []  # the retimed steps after the start's, reversed
+    legal = True
+    t = goal_g  # the retimed arrival of the link in hand
     while state in parent:
-        prev, dep, kind, elevator = parent[state]
-        links.append((prev, state, dep, kind, elevator))
+        prev, dep, elevator = parent[state]
+        v, w = prev[0], state[0]
+        links.append((v, w, dep, elevator))
+        if elevator is None:
+            late.append((w, t))
+            t -= 1
+            if edge_bans and (v, w, t) in edge_bans:
+                legal = False
+        else:
+            t -= abs(w.floor - v.floor) * graph.elevators[elevator].t_floor
+            late.extend(reversed(ride_visits(graph, elevator, v.floor, w.floor, t)))
+            for lo, hi in boarding_bans.get((elevator, v.floor), ()):
+                if lo <= t <= hi:
+                    legal = False
         state = prev
-    links.reverse()
+    if t < 0:
+        raise RuntimeError(f"agent {agent.id}: the searched moves take longer than "
+                           f"the goal arrival at {goal_g}")
+    start = agent.start
+    vertex_bans = constraints.vertex_bans
+    if legal and vertex_bans:
+        legal = not any(lo <= t and hi >= 0 for lo, hi in vertex_bans.get(start, ())) and not any(
+            lo <= tv <= hi for v, tv in late for lo, hi in vertex_bans.get(v, ()))
+    if legal:
+        late.extend((start, tv) for tv in range(t, -1, -1))
+        late.reverse()
+        return Path(tuple(late))
 
-    steps: list[tuple[Vertex, int]] = [(agent.start, 0)]
-    g_prev = 0
-    for (pv, _, _), (nv, _, _), dep, kind, elevator in links:
-        for t in range(g_prev + 1, dep + 1):
-            steps.append((pv, t))
-        if kind == "move":
-            steps.append((nv, dep + 1))
-            g_prev = dep + 1
-        else:
-            visits = ride_visits(graph, elevator, pv.floor, nv.floor, dep)
-            steps.extend(visits)
-            g_prev = visits[-1][1]
-    path = Path(tuple(steps))
-    if path.cost != goal_g:
-        raise RuntimeError(f"agent {agent.id}: reconstructed path costs {path.cost}, "
-                           f"but the search reached the goal at {goal_g}")
-    return _retime_late(path, graph, constraints) or path
-
-
-def _retime_late(path: Path, graph: MultiFloorGraph, constraints: ConstraintSet) -> Path | None:
-    """Equal-cost rewrite that pools all waiting at the start vertex, so the
-    agent departs as late as possible and never loiters en route (in
-    particular not at elevator doors). Returns None when the retimed path
-    would break a constraint."""
-    moves = []  # (from, to, duration, kind, elevator)
-    for (v, tv), (w, tw) in zip(path.steps, path.steps[1:]):
-        if v == w:
-            continue
-        if w.floor != v.floor:
-            e = graph.elevator_at(v)
-            moves.append((v, w, tw - tv, "ride", e.id))
-        else:
-            moves.append((v, w, 1, "move", None))
-    if not moves:
-        return Path(((path.steps[0][0], 0),)) if path.cost == 0 else None
-
-    times = [0] * (len(moves) + 1)
-    times[-1] = path.cost
-    for i in range(len(moves) - 1, -1, -1):
-        times[i] = times[i + 1] - moves[i][2]
-    if times[0] < 0:
-        return None
-
-    start = path.steps[0][0]
-    steps: list[tuple[Vertex, int]] = [(start, t) for t in range(0, times[0] + 1)]
-    ride_open = False
-    for i, (v, w, dur, kind, elevator) in enumerate(moves):
-        dep = times[i]
-        if kind == "move":
-            if (v, w, dep) in constraints.edge_bans:
-                return None
-            ride_open = False
+    steps: list[tuple[Vertex, int]] = [(start, 0)]
+    for v, w, dep, elevator in reversed(links):
+        steps.extend((v, tv) for tv in range(steps[-1][1] + 1, dep + 1))
+        if elevator is None:
             steps.append((w, dep + 1))
         else:
-            if not ride_open:
-                if constraints.boarding_banned(elevator, v.floor, dep):
-                    return None
-                ride_open = True
-            steps.append((w, dep + dur))
-    if constraints.vertex_bans and any(constraints.vertex_banned(v, t) for v, t in steps):
-        return None
+            steps.extend(ride_visits(graph, elevator, v.floor, w.floor, dep))
+    if steps[-1][1] != goal_g:
+        raise RuntimeError(f"agent {agent.id}: reconstructed path costs {steps[-1][1]}, "
+                           f"but the search reached the goal at {goal_g}")
     return Path(tuple(steps))

@@ -177,6 +177,32 @@ def test_validate_rejects_disconnected_and_double_ride(corridor2):
         validate(inst, [jumpy])
 
 
+def _steps(text: str) -> Path:
+    """A path from `l,x,y@t` tokens."""
+    steps = []
+    for token in text.split():
+        cell, t = token.split("@")
+        steps.append((Vertex(*map(int, cell.split(","))), int(t)))
+    return Path(tuple(steps))
+
+
+def test_validate_rejects_a_ride_that_turns_round_in_the_shaft(strip3):
+    inst = parse_scenario("1 0 0 2 2 0\n", strip3)
+    # up to floor 3 and back down to 2: read as one ride, it would be a 1->2
+    # ride whose busy window ends two floor times early
+    overshoot = _steps("1,0,0@0 1,1,0@1 2,1,0@2 3,1,0@3 2,1,0@4 2,2,0@5")
+    with pytest.raises(PathStructureError, match="agent 0: a ride turns round in the shaft"):
+        validate(inst, [overshoot])
+    # a ride back to the boarding floor names the agent too
+    inst = parse_scenario("1 0 0 1 2 0\n", strip3)
+    round_trip = _steps("1,0,0@0 1,1,0@1 2,1,0@2 1,1,0@3 1,2,0@4")
+    with pytest.raises(PathStructureError, match="agent 0: a ride turns round in the shaft"):
+        validate(inst, [round_trip])
+    # the straight ride to floor 2 stays valid
+    straight = _steps("1,0,0@0 1,1,0@1 2,1,0@2 2,2,0@3")
+    assert validate(parse_scenario("1 0 0 2 2 0\n", strip3), [straight]) == []
+
+
 def test_timeout_is_reported():
     g = parse_map("type mapf-e\nfloors 1\nheight 1\nwidth 2\ntfloor 1\n..\n")
     inst = parse_scenario("1 0 0 1 1 0\n1 1 0 1 0 0\n", g)  # unsolvable swap

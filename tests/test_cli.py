@@ -145,6 +145,22 @@ def test_validate_rejects_tokens_that_are_not_steps(golden_files, tmp_path, caps
     assert capsys.readouterr().out.strip() == "structurally invalid: agent 0: bad step 'garbage'"
 
 
+@pytest.mark.parametrize("scen, line", [
+    ("1 0 0 2 2 0\n", "agent 0: (1,0,0)@0 (1,1,0)@1 (2,1,0)@2 (3,1,0)@3 (2,1,0)@4 (2,2,0)@5\n"),
+    ("1 0 0 1 2 0\n", "agent 0: (1,0,0)@0 (1,1,0)@1 (2,1,0)@2 (1,1,0)@3 (1,2,0)@4\n"),
+])
+def test_validate_rejects_a_ride_that_turns_round(golden_files, tmp_path, capsys, scen, line):
+    map_path, scen_path = golden_files
+    scen_path.write_text(scen)
+    plan_path = tmp_path / "plan.txt"
+    plan_path.write_text(line)
+    code = main(["validate", "--map", str(map_path), "--scen", str(scen_path),
+                 "--plan", str(plan_path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.startswith("structurally invalid: agent 0: a ride turns round in the shaft"), out
+
+
 def test_variant_flags_yield_identical_cost_line(golden_files, capsys):
     map_path, scen_path = golden_files
     lines = []

@@ -284,6 +284,28 @@ def test_solver_plans_once_per_constraint_set(monkeypatch):
     assert result.stats.plan_reuses > 0
 
 
+def test_a_scan_summarises_only_the_replanned_path(monkeypatch):
+    # a CT node keeps its paths' ride summaries, so the root summarises
+    # every path, each one-agent scan (a popped child or a bypass candidate)
+    # one path, and the goal certificate's full scan every path again
+    from mapfe.elevator import RideSummaries
+    summarised = []
+    get = RideSummaries.get
+
+    def counting(self, agent, path):
+        summarised.append(agent)
+        return get(self, agent, path)
+
+    monkeypatch.setattr(RideSummaries, "get", counting)
+    cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
+                           tfloor=3, agents=[6], instances=1)
+    result = solve(gen_instance(cfg, 6, seed=777_004), SolverConfig(time_limit=60))
+    stats = result.stats
+    assert result.status == "solved" and stats.bypasses > 0
+    assert len(summarised) == 6 + stats.scans + 6
+    assert 0 < stats.plan_time < stats.runtime
+
+
 # Drops the first conflict of every one-agent rescan, so the search reaches
 # a goal node whose plan still has a conflict; run under -O, where asserts
 # are gone, the goal certificate must still refuse it.
