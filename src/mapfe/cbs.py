@@ -28,8 +28,11 @@ agent, a lower bound on its own count. A child also keeps the other agents'
 constraint sets, and so their MDD-Es: a conflict's label and bypass depend
 only on the two MDD-Es and the conflict, and one joint search
 (`mdd.classify`) yields both, so it runs once per solve per triple and
-both are memoised under it. The memo holds labels and bypass paths, never
-a joint MDD-E; a joint lives for one expansion.
+both are memoised under it. The memo names each MDD-E by its identity,
+and `mdd.MddECache` makes equal diagrams one object, so a label also
+serves nodes whose agents reached the same diagrams under other
+constraint sets. The memo holds labels and bypass paths, never a joint
+MDD-E; a joint lives for one expansion.
 Invariant: every expanded CT node's conflict list equals
 `enumerate_conflicts` over its paths, in `_conflict_key` order, which is a
 total order on a plan's conflicts. `validate` keeps the full scan and
@@ -132,6 +135,7 @@ class SolveStats:
     scans: int = 0  # one-agent conflict scans: popped children, bypass candidates
     peak_open: int = 0  # the largest open-list size
     mdd_builds: int = 0  # MDD-Es built by the solve
+    mdd_shared: int = 0  # builds whose diagram equals an earlier one of the solve
     mdd_reuses: int = 0  # MDD-E requests the solve's memo answered
     distance_fields: int = 0  # grid BFS fields the solve computed
 
@@ -321,10 +325,9 @@ class _Solver:
         # the set, so no id is reused while the solve runs.
         self.plans: dict[tuple[int, int], tuple[ConstraintSet, Path | None]] = {}
         # Each conflict's label and interned bypass, or None, keyed by
-        # `_memo_key`; the entry holds the two constraint sets its key
-        # names by id, so no id is reused while the solve runs.
-        self.labels: dict[tuple, tuple[str, tuple[int, Path] | None,
-                                       ConstraintSet, ConstraintSet]] = {}
+        # `_memo_key`; `mdds` keeps every diagram its keys name by id, so
+        # no id is reused while the solve runs.
+        self.labels: dict[tuple, tuple[str, tuple[int, Path] | None]] = {}
 
     def run(self) -> SolveResult:
         root = self._make_root()
@@ -365,6 +368,7 @@ class _Solver:
         self.stats.runtime = time.perf_counter() - self.t0
         self.stats.solved = status == "solved"
         self.stats.mdd_builds = self.mdds.builds
+        self.stats.mdd_shared = self.mdds.shared
         self.stats.mdd_reuses = self.mdds.reuses
         self.stats.distance_fields = len(self.index.fields)
         if self.stats.runtime > 0:
@@ -445,13 +449,18 @@ class _Solver:
         self.stats.generated += 1
         return node
 
-    @staticmethod
-    def _memo_key(node: CTNode, c: Conflict) -> tuple:
+    def _memo_key(self, node: CTNode, c: Conflict) -> tuple:
         """What a conflict's label and bypass depend on: both agents' MDD-Es,
-        named as `mdd.MddECache` names them, and the conflict itself."""
-        i, j = c.i, c.j
-        return (node.paths[i].cost, id(node.omegas[i]), node.paths[j].cost, id(node.omegas[j]),
-                *_conflict_key(c))
+        one object per distinct diagram in `mdd.MddECache`, and the
+        conflict itself. A diagram over the node cap is named None: every
+        conflict on one is cardinal without a bypass."""
+        return (self._diagram(node, c.i), self._diagram(node, c.j), *_conflict_key(c))
+
+    def _diagram(self, node: CTNode, k: int) -> int | None:
+        try:
+            return id(self.mdds.get(k, node.paths[k].cost, node.omegas[k]))
+        except mdd_mod.MddSizeExceeded:
+            return None
 
     def _find_conflict(self, node: CTNode):
         """(conflict, bypass, label) for the conflict to resolve next:
@@ -472,7 +481,7 @@ class _Solver:
                 label, found = mdd_mod.classify(node, c, self.graph, self.agents,
                                                 joint_cache, self.mdds)
                 bypass = (found[0][0], self._intern(found[0][1])) if found else None
-                entry = self.labels[key] = (label, bypass, node.omegas[c.i], node.omegas[c.j])
+                entry = self.labels[key] = (label, bypass)
                 self.stats.classify_calls += 1
             else:
                 self.stats.label_hits += 1

@@ -165,7 +165,8 @@ def _cmd_solve(args) -> int:
           f"classify_calls={stats.classify_calls} label_hits={stats.label_hits} "
           f"joint_pairs={stats.joint_pairs} "
           f"plans={stats.plans} plan_reuses={stats.plan_reuses} "
-          f"mdd_builds={stats.mdd_builds} mdd_reuses={stats.mdd_reuses} "
+          f"mdd_builds={stats.mdd_builds} mdd_shared={stats.mdd_shared} "
+          f"mdd_reuses={stats.mdd_reuses} "
           f"distance_fields={stats.distance_fields}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

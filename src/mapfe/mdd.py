@@ -8,10 +8,14 @@ prune boarding overlaps and door presences that a plain MDD cannot see.
 
 An MDD-E depends only on (agent, cost, constraint set), so a solve builds
 each one once (`MddECache`) and stores every node, level and successor
-tuple once. Classification first asks each agent's own MDD-E whether every
-cost-d path commits that agent's side of the conflict (`_unavoidable`, the
-ICBS width-1 test widened to elevator conflicts); only the other sides are
-searched in the joint product, which expands pairs on demand. The search is
+tuple once. Many constraint sets give equal diagrams; those builds return
+the first such diagram, so within a solve a diagram is one object and its
+identity names it. Classification first asks each agent's own MDD-E
+whether every cost-d path commits that agent's side of the conflict
+(`_unavoidable`, the ICBS width-1 test widened to elevator conflicts);
+only the other sides are searched in the joint product, which expands
+pairs on demand, each side's transitions from a component computed once
+per joint and the pair tests run inline. The search is
 depth-first and stops at the first complete pair path in successor order,
 the path a breadth-first search would return, having expanded only the
 pairs it walked through. A search that reaches the last level is that
@@ -27,13 +31,12 @@ the goal, and node.time > t is inside a shaft riding toward the node
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .elevator import ElevatorUsage, busy_interval, door_in_window, usages_overlap
-from .model import Agent, MultiFloorGraph, Vertex, ride_visits
-from .sipp import ConstraintSet, Path, _Heuristic, interval_contains
+from .model import Agent, MultiFloorGraph, Vertex
+from .sipp import ConstraintSet, Path, Ride, _Heuristic, interval_contains
 
 CARDINAL = "cardinal"
 SEMI_CARDINAL = "semi-cardinal"
@@ -87,14 +90,6 @@ class MddE:
         return u
 
 
-def _mid_ride(node: MddENode, agent: Agent, graph: MultiFloorGraph) -> bool:
-    """True for in-shaft door visits, which have no standing moves."""
-    if node.elevator == -1 or node.vertex.floor == agent.goal_floor:
-        return False
-    e = graph.elevator_at(node.vertex)
-    return e is not None and e.id == node.elevator
-
-
 def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
                 graph: MultiFloorGraph, heuristic=None) -> MddE:
     """All cost-d paths of one agent under its constraints, as a leveled
@@ -118,7 +113,8 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
     edges: dict[MddENode, set[MddENode]] = {}
     count = 1
     cross = agent.start_floor != agent.goal_floor
-    succ = heur.succ
+    goal_floor = agent.goal_floor
+    succ, rides = heur.succ, heur.rides
 
     def add(src: MddENode, dst: MddENode) -> None:
         nonlocal count
@@ -133,10 +129,10 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
         slack = d - (t + 1)  # the most cost-to-go a level-(t+1) node may have
         nxt = levels.setdefault(t + 1, set())
         for n in levels.get(t, ()):
-            if _mid_ride(n, agent, graph):
-                continue  # the forced ride chain was added at boarding time
             v = n.vertex
             rode = n.elevator != -1
+            if rode and v.floor != goal_floor:
+                continue  # an in-shaft door visit: the ride chain was added at boarding
             nbrs = succ[rode].get(v)
             if nbrs is None:
                 nbrs = heur.successors(v, rode)
@@ -158,9 +154,11 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
                 if count > NODE_CAP:
                     raise MddSizeExceeded(f"MDD-E for agent {agent.id} exceeded {NODE_CAP} nodes")
             if cross and not rode:
-                e = graph.elevator_at(v)
-                if e is not None:
-                    _add_ride(agent, graph, constraints, e, n, d, add)
+                ride = rides.get(v)
+                if ride is None:
+                    ride = heur.ride_from(v)
+                if ride:
+                    _add_ride(constraints, ride, n, d, add)
 
     # backward completability, one level at a time from the last (every
     # edge goes forward in time), excluding a final wait at the goal
@@ -185,16 +183,17 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
     return MddE(agent, d, dict(reversed(kept_levels)), final_edges, graph)
 
 
-def _add_ride(agent, graph, constraints, e, n: MddENode, d: int, add) -> None:
+def _add_ride(constraints: ConstraintSet, ride: Ride, n: MddENode, d: int, add) -> None:
     dep = n.time
-    visits = ride_visits(graph, e.id, n.vertex.floor, agent.goal_floor, dep)
-    if visits[-1][1] > d or constraints.boarding_banned(e.id, n.vertex.floor, dep):
+    e_id, inner, target, duration, _ = ride
+    if dep + duration > d or constraints.boarding_banned(e_id, n.vertex.floor, dep):
         return
-    if any(constraints.vertex_banned(door, t) for door, t in visits):
+    visits = (*inner, (target, duration))
+    if any(constraints.vertex_banned(door, dep + offset) for door, offset in visits):
         return
     prev = n
-    for door, t in visits:
-        m = MddENode(door, t, e.id, dep)
+    for door, offset in visits:
+        m = MddENode(door, dep + offset, e_id, dep)
         add(prev, m)
         prev = m
 
@@ -206,8 +205,11 @@ class MddECache:
     reused while its entry lives and a hit is exact. Builds over the node
     cap are remembered as such. Every node and every level or successor
     tuple is stored once per solve, which keeps the memo small: most of a
-    solve's MDD-Es share most of their nodes. `heuristics`, indexed by
-    agent id, are the agents' `sipp.cost_to_go`."""
+    solve's MDD-Es share most of their nodes. A build equal to an earlier
+    one (same agent, cost, levels and successors) returns that earlier
+    object, so equal diagrams are one object and `id` names a diagram for
+    the rest of the solve; `shared` counts those builds. `heuristics`,
+    indexed by agent id, are the agents' `sipp.cost_to_go`."""
 
     def __init__(self, graph: MultiFloorGraph, agents, heuristics=None):
         self.graph = graph
@@ -216,8 +218,11 @@ class MddECache:
         self.entries: dict[tuple[int, int, int], tuple[ConstraintSet, MddE | None]] = {}
         self.nodes: dict[MddENode, MddENode] = {}
         self.tuples: dict[tuple[MddENode, ...], tuple[MddENode, ...]] = {}
+        # the distinct diagrams, by a hash of (agent, cost, level tuple ids)
+        self.diagrams: dict[int, list[MddE]] = {}
         self.builds = 0
         self.reuses = 0
+        self.shared = 0
 
     def get(self, agent_id: int, d: int, constraints: ConstraintSet) -> MddE:
         key = (agent_id, d, id(constraints))
@@ -238,6 +243,10 @@ class MddECache:
         return entry[1]
 
     def _shared(self, mdd: MddE) -> MddE:
+        """The diagram with its nodes and tuples interned, or the earlier
+        diagram it equals. Equal level sets are one interned tuple, so the
+        hash reads tuple identities and a hit compares successor tuples by
+        identity."""
         nodes, tuples = self.nodes.setdefault, self.tuples.setdefault
 
         def seq(ns: tuple[MddENode, ...]) -> tuple[MddENode, ...]:
@@ -246,7 +255,17 @@ class MddECache:
 
         levels = {t: seq(level) for t, level in mdd.levels.items()}
         edges = {nodes(src, src): seq(dsts) for src, dsts in mdd.edges.items()}
-        return MddE(mdd.agent, mdd.d, levels, edges, mdd.graph)
+        agent, d = mdd.agent, mdd.d
+        same = self.diagrams.setdefault(hash((agent.id, d, *map(id, levels.values()))), [])
+        for earlier in same:
+            # dict == tests values by identity first, and equal tuples are one object
+            if earlier.agent is agent and earlier.d == d and earlier.levels == levels \
+                    and earlier.edges == edges:
+                self.shared += 1
+                return earlier
+        mdd = MddE(agent, d, levels, edges, mdd.graph)
+        same.append(mdd)
+        return mdd
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +286,6 @@ class _Trans(NamedTuple):
     u: Vertex | None
     w: Vertex | None
     board_ts: int
-
-
-def _comp_succs(mdd: MddE, n: MddENode, t: int) -> list[tuple[MddENode, _Trans]]:
-    if n.time > t:  # in the shaft
-        return [(n, _Trans(None, _vertex_at(n, t + 1), -1))]
-    if n.time < t or n.time == mdd.d:
-        return [(n, _Trans(n.vertex, n.vertex, -1))]  # parked at the goal
-    out: list[tuple[MddENode, _Trans]] = []
-    for m in mdd.edges.get(n, ()):
-        if m.vertex.floor == n.vertex.floor:
-            out.append((m, _Trans(n.vertex, m.vertex, -1)))
-        else:
-            board_ts = m.board_time if n.elevator == -1 else -1
-            out.append((m, _Trans(n.vertex, _vertex_at(m, t + 1), board_ts)))
-    return out
 
 
 def _door_window_hit(mdd_x: MddE, comp_x: MddENode, mdd_y: MddE, comp_y: MddENode,
@@ -311,9 +315,11 @@ class JointMddE:
     Pairs are expanded on demand: `successors` computes one pair's
     successors and keeps them, so the depth-first bypass searches of both
     sides, and of every conflict of the two agents in one CT node, expand
-    each pair once. `levels` holds the root level until `all_levels`
-    expands the whole product. `pairs` counts the expanded pairs; past
-    `NODE_CAP` every search of this joint raises `MddSizeExceeded`."""
+    each pair once. Each side's transitions from a component at a level
+    are computed once per joint (`moves`). `levels` holds the root level
+    until `all_levels` expands the whole product. `pairs` counts the
+    expanded pairs; past `NODE_CAP` every search of this joint raises
+    `MddSizeExceeded`."""
 
     mdd_a: MddE
     mdd_b: MddE
@@ -322,23 +328,60 @@ class JointMddE:
     adj: dict[tuple[int, tuple], list[tuple[tuple, _Trans, _Trans]]]
     elevator_aware: bool
     pairs: int = 0
+    moves: tuple[dict, dict] = field(default_factory=lambda: ({}, {}), repr=False)
 
     def successors(self, t: int, pair: tuple) -> list[tuple[tuple, _Trans, _Trans]]:
         """Conflict-free successors of a level-t pair with both sides'
-        transitions, in `itertools.product` order over `_comp_succs`."""
+        transitions, in `itertools.product` order over the two sides'
+        `transitions`. A transition's endpoint is where its side stands at
+        t+1, so the vertex test compares endpoints; the elevator tests run
+        only when a side has boarded."""
         key = (t, pair)
         out = self.adj.get(key)
         if out is None:
             self.pairs += 1
             self.check_cap()
-            mdd_a, mdd_b = self.mdd_a, self.mdd_b
             ca, cb = pair
-            out = self.adj[key] = [
-                ((sa, sb), tra, trb)
-                for (sa, tra), (sb, trb) in itertools.product(
-                    _comp_succs(mdd_a, ca, t), _comp_succs(mdd_b, cb, t))
-                if not _pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra, trb, t,
-                                       self.elevator_aware)]
+            out = self.adj[key] = []
+            moves_b = self.transitions(1, cb, t)
+            aware = self.elevator_aware
+            for sa, tra in self.transitions(0, ca, t):
+                ua, wa, _ = tra
+                moving = ua is not None and wa is not None and ua != wa
+                for sb, trb in moves_b:
+                    wb = trb.w
+                    if wa is not None and wa == wb:
+                        continue  # vertex conflict at t+1
+                    if moving and ua == wb and wa == trb.u:
+                        continue  # swap
+                    if aware and (sa.elevator != -1 or sb.elevator != -1) and _ride_conflicts(
+                            self.mdd_a, self.mdd_b, ca, cb, sa, sb, tra, trb, t):
+                        continue
+                    out.append(((sa, sb), tra, trb))
+        return out
+
+    def transitions(self, side: int, n: MddENode, t: int) -> list[tuple[MddENode, _Trans]]:
+        """One side's unit-time transitions from component n at level t, in
+        successor order: riding on in the shaft, parked at the goal, or
+        along each MDD-E edge."""
+        key = (n, t)
+        out = self.moves[side].get(key)
+        if out is None:
+            mdd = self.mdd_b if side else self.mdd_a
+            v = n.vertex
+            if n.time > t:  # in the shaft
+                out = [(n, _Trans(None, _vertex_at(n, t + 1), -1))]
+            elif n.time < t or n.time == mdd.d:
+                out = [(n, _Trans(v, v, -1))]  # parked at the goal
+            else:
+                out = []
+                for m in mdd.edges.get(n, ()):
+                    if m.vertex.floor == v.floor:
+                        out.append((m, _Trans(v, m.vertex, -1)))
+                    else:
+                        board_ts = m.board_time if n.elevator == -1 else -1
+                        out.append((m, _Trans(v, _vertex_at(m, t + 1), board_ts)))
+            self.moves[side][key] = out
         return out
 
     def check_cap(self) -> None:
@@ -375,16 +418,10 @@ def build_joint(mdd_a: MddE, mdd_b: MddE, elevator_aware: bool = True) -> JointM
     return JointMddE(mdd_a, mdd_b, t_end, levels, {}, elevator_aware)
 
 
-def _pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra: _Trans, trb: _Trans,
-                    t: int, elevator_aware: bool) -> bool:
-    va = _vertex_at(sa, t + 1)
-    if va is not None and va == _vertex_at(sb, t + 1):
-        return True  # vertex conflict at t+1
-    if (tra.u is not None and tra.w is not None and trb.u is not None and trb.w is not None
-            and tra.u == trb.w and tra.w == trb.u and tra.u != tra.w):
-        return True  # swap
-    if not elevator_aware or (sa.elevator == -1 and sb.elevator == -1):
-        return False  # every elevator check below needs a boarded side
+def _ride_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra: _Trans, trb: _Trans, t: int) -> bool:
+    """The elevator half of the pair test, for a successor pair (sa, sb) of
+    (ca, cb) with a boarded side: a shared elevator's busy windows overlap,
+    or a side stands at a door of the other's elevator inside its window."""
     if sa.elevator != -1 and sa.elevator == sb.elevator and usages_overlap(
             mdd_a.ride(sa), mdd_b.ride(sb)):
         return True

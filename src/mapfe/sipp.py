@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import Agent, MultiFloorGraph, Vertex, ride_visits
 
@@ -181,6 +182,18 @@ class GridIndex:
 _NO_TABLE: dict[Vertex, float] = {}
 
 
+class Ride(NamedTuple):
+    """The ride an unboarded agent can take from a door: to its goal floor,
+    boarded at time 0. A ride boarded at dep reaches each door at dep plus
+    its offset."""
+
+    elevator: int
+    inner: tuple[tuple[Vertex, int], ...]  # (door, offset) of each floor passed through
+    target: Vertex  # the door on the goal floor
+    duration: int  # the target's offset
+    h_target: float  # the target's cost-to-go
+
+
 class _Heuristic:
     """Exact unconstrained cost-to-go: same-floor grid distance, or walk to
     the best door, ride, and walk on the goal floor. It ignores constraints,
@@ -188,9 +201,11 @@ class _Heuristic:
     Its distance fields come from `index`, which the agents of a solve
     share, so each door's field is computed once for all of them. Its
     successor table, filled as plans and MDD-Es ask, holds each vertex's
-    grid moves per ride state with their cost-to-go (`successors`)."""
+    grid moves per ride state with their cost-to-go (`successors`), and its
+    ride table each start-floor vertex's ride (`ride_from`)."""
 
     def __init__(self, agent: Agent, graph: MultiFloorGraph, index: GridIndex | None = None):
+        self.graph = graph
         self.index = index if index is not None else GridIndex(graph)
         self.goal_floor = agent.goal_floor
         self.start_floor = agent.start_floor
@@ -211,6 +226,8 @@ class _Heuristic:
             self.pre = best
         # indexed by the ride state: vertex -> ((neighbour, cost-to-go), ...)
         self.succ: tuple[dict, dict] = ({}, {})
+        # vertex -> its `Ride`, or () when it is no door
+        self.rides: dict[Vertex, Ride | tuple[()]] = {}
 
     def table(self, floor: int, rode: bool) -> dict[Vertex, float]:
         """Cost-to-go of the vertices of one floor in one ride state; a
@@ -233,6 +250,22 @@ class _Heuristic:
             table = self.table(v.floor, rode)  # grid moves stay on v's floor
             out = self.succ[rode][v] = tuple([(u, h) for u in self.index.moves.get(v, ())
                                               if (h := table.get(u, INF)) < INF])
+        return out
+
+    def ride_from(self, v: Vertex) -> Ride | tuple[()]:
+        """The ride from v to the goal floor, or () when v is no door;
+        computed once per vertex, then read from `rides`. Ask only for a
+        vertex an unboarded floor-crossing agent stands on."""
+        out = self.rides.get(v)
+        if out is None:
+            e = self.graph.elevator_at(v)
+            if e is None:
+                out = ()
+            else:
+                *inner, (target, duration) = ride_visits(self.graph, e.id, v.floor,
+                                                         self.goal_floor, 0)
+                out = Ride(e.id, tuple(inner), target, duration, self.value(target, True))
+            self.rides[v] = out
         return out
 
 
@@ -281,7 +314,7 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
     heap: list[tuple] = [(h0, 0, start, start_idx, False)]
     push, pop = heapq.heappush, heapq.heappop
     succ = heur.succ
-    cross = agent.start_floor != agent.goal_floor
+    rides = heur.rides if agent.start_floor != agent.goal_floor else None
 
     while heap:
         _, neg_g, v, idx, rode = pop(heap)
@@ -327,22 +360,23 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
                     parent[ustate] = (state, dep, None)
                     push(heap, (arr + h_u, -arr, u, uidx, rode))
 
-        if cross and not rode:
-            e = graph.elevator_at(v)
-            if e is not None:
-                *inner, (target, t_o) = ride_visits(graph, e.id, v.floor, agent.goal_floor, 0)
-                h_t = heur.value(target, True)
+        if rides is not None and not rode:
+            ride = rides.get(v)
+            if ride is None:
+                ride = heur.ride_from(v)
+            if ride:
+                e_id, inner, target, t_o, h_t = ride
                 for tidx, (lo, hi) in enumerate(safe_get(target, _ALWAYS_SAFE) if h_t < INF else ()):
                     dep = max(g, lo - t_o)
                     dep_hi = min(cur_hi, hi - t_o)
                     while dep <= dep_hi:
-                        bumped = _board_violation(constraints, e.id, v.floor, inner, dep)
+                        bumped = _board_violation(constraints, e_id, v.floor, inner, dep)
                         if bumped is None:
                             arr = dep + t_o
                             ustate = (target, tidx, True)
                             if arr < best_get(ustate, INF):
                                 best[ustate] = arr
-                                parent[ustate] = (state, dep, e.id)
+                                parent[ustate] = (state, dep, e_id)
                                 push(heap, (arr + h_t, -arr, target, tidx, True))
                             break
                         dep = max(dep + 1, bumped)
@@ -350,7 +384,7 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
 
 
 def _board_violation(constraints: ConstraintSet, elevator: int, floor: int,
-                     inner: list[tuple[Vertex, int]], dep: int) -> int | None:
+                     inner: tuple[tuple[Vertex, int], ...], dep: int) -> int | None:
     """None when a ride departing at dep is clean, else the smallest later
     departure worth trying."""
     for lo, hi in constraints.boarding_bans.get((elevator, floor), ()):

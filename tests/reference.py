@@ -373,3 +373,66 @@ def bypass_comps_breadth_first(joint, conflict, agent_id: int) -> list | None:
         comps.append(key[1][side])
     comps.reverse()
     return comps
+
+
+def comp_succs(mdd, n, t: int) -> list:
+    """One side's unit-time transitions from a joint component at level t,
+    as the solver's joint product computed them before its successor loop
+    was inlined: riding on in the shaft, parked at the goal, or along each
+    MDD-E edge, as (successor, `mdd._Trans`)."""
+    from mapfe.mdd import _Trans, _vertex_at
+
+    if n.time > t:  # in the shaft
+        return [(n, _Trans(None, _vertex_at(n, t + 1), -1))]
+    if n.time < t or n.time == mdd.d:
+        return [(n, _Trans(n.vertex, n.vertex, -1))]  # parked at the goal
+    out = []
+    for m in mdd.edges.get(n, ()):
+        if m.vertex.floor == n.vertex.floor:
+            out.append((m, _Trans(n.vertex, m.vertex, -1)))
+        else:
+            board_ts = m.board_time if n.elevator == -1 else -1
+            out.append((m, _Trans(n.vertex, _vertex_at(m, t + 1), board_ts)))
+    return out
+
+
+def pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra, trb, t: int, elevator_aware: bool) -> bool:
+    """Does the successor pair (sa, sb) of the level-t pair (ca, cb) clash:
+    a vertex conflict at t+1, a swap, or, with `elevator_aware`, a busy
+    window overlap or a door presence inside the other side's window?"""
+    from mapfe.elevator import usages_overlap
+    from mapfe.mdd import _door_window_hit, _vertex_at
+
+    va = _vertex_at(sa, t + 1)
+    if va is not None and va == _vertex_at(sb, t + 1):
+        return True  # vertex conflict at t+1
+    if (tra.u is not None and tra.w is not None and trb.u is not None and trb.w is not None
+            and tra.u == trb.w and tra.w == trb.u and tra.u != tra.w):
+        return True  # swap
+    if not elevator_aware or (sa.elevator == -1 and sb.elevator == -1):
+        return False  # every elevator check below needs a boarded side
+    if sa.elevator != -1 and sa.elevator == sb.elevator and usages_overlap(
+            mdd_a.ride(sa), mdd_b.ride(sb)):
+        return True
+    if _door_window_hit(mdd_a, sa, mdd_b, sb, t + 1) or _door_window_hit(mdd_b, sb, mdd_a, sa, t + 1):
+        return True
+    # the instant a ride starts, the other agent must not stand at any door
+    # of that elevator (the window opens at the boarding time itself)
+    if tra.board_ts != -1 and _door_window_hit(mdd_a, sa, mdd_b, cb, t):
+        return True
+    if trb.board_ts != -1 and _door_window_hit(mdd_b, sb, mdd_a, ca, t):
+        return True
+    return False
+
+
+def joint_successors(joint, t: int, pair: tuple) -> list:
+    """The conflict-free successors of a level-t pair of a `mdd.JointMddE`:
+    the product of both sides' `comp_succs`, filtered by `pair_conflicts`,
+    in `itertools.product` order."""
+    mdd_a, mdd_b = joint.mdd_a, joint.mdd_b
+    ca, cb = pair
+    return [((sa, sb), tra, trb)
+            for (sa, tra), (sb, trb) in itertools.product(comp_succs(mdd_a, ca, t),
+                                                          comp_succs(mdd_b, cb, t))
+            if not pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra, trb, t,
+                                  joint.elevator_aware)]

@@ -3,6 +3,8 @@
 Each record holds the benchmark pairs of one change against its parent
 commit. Every workload of BENCHMARK.json needs at least ten pairs of runs
 of every end-to-end metric, and no run may have returned a wrong plan.
+The record's claim is `none` or `<metric> on <workload>`, both named in
+BENCHMARK.json, and its search counters at 30 s cover every workload.
 """
 import json
 from pathlib import Path
@@ -14,6 +16,7 @@ RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
+METRICS = END_TO_END + [m["name"] for m in BENCHMARK["per_layer"]]
 MIN_PAIRS = 10
 
 
@@ -35,3 +38,15 @@ def test_record_has_ten_clean_pairs_per_metric(path):
             pairs = runs["metrics"][metric]["per_pair"]
             assert len(pairs) >= MIN_PAIRS, (name, metric)
             assert all(len(pair) == 2 for pair in pairs), (name, metric)
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_record_claims_a_named_metric_and_counts_every_workload(path):
+    record = json.loads(path.read_text())
+    claim = record["benchmark_pairs"]["claim"]
+    if claim != "none":
+        words = claim.split(" ")
+        assert len(words) == 3 and words[1] == "on", claim
+        assert words[0] in METRICS and words[2] in WORKLOADS, claim
+    counted = record["search_counters_at_30s"]["workloads"]
+    assert sorted(counted) == sorted(WORKLOADS)

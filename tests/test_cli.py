@@ -33,6 +33,7 @@ def test_solve_prints_cost_paths_and_stats(golden_files, capsys):
     # one field per goal, plus the door field of each agent's start floor
     fields = lines[3].split()
     assert fields[-2].startswith("mdd_reuses=") and fields[-1] == "distance_fields=4"
+    assert fields[-4].startswith("mdd_builds=") and fields[-3].startswith("mdd_shared=")
 
 
 def test_joint_pairs_count_the_joint_search_and_read_0_without_mdde(tmp_path, capsys):

@@ -263,6 +263,26 @@ def test_solver_builds_one_mdd_e_per_constraint_set(monkeypatch):
     assert result.stats.mdd_reuses > 0
 
 
+def test_equal_mdd_es_are_one_object(monkeypatch):
+    from mapfe import mdd
+    returned = []
+    shared = mdd.MddECache._shared
+
+    def recording(self, diagram):
+        returned.append(shared(self, diagram))
+        return returned[-1]
+
+    monkeypatch.setattr(mdd.MddECache, "_shared", recording)
+    cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
+                           tfloor=3, agents=[6], instances=1)
+    result = solve(gen_instance(cfg, 6, seed=777_007), SolverConfig(time_limit=60))
+    s = result.stats
+    assert result.status == "solved"
+    # some builds repeat an earlier diagram under another constraint set
+    assert 0 < s.mdd_shared < s.mdd_builds == len(returned)
+    assert len({id(m) for m in returned}) == s.mdd_builds - s.mdd_shared
+
+
 def test_solver_plans_once_per_constraint_set(monkeypatch):
     from mapfe import cbs
     planned = []

@@ -54,19 +54,25 @@ def test_memoised_labels_and_bypasses_equal_fresh_ones(instance):
 
 def test_each_conflict_is_classified_once_per_solve(monkeypatch):
     triples = []
-    classify = mdd_mod.classify
+    solvers = []
+    classify, init = mdd_mod.classify, _Solver.__init__
+
+    def keeping(self, *args):
+        init(self, *args)
+        solvers.append(self)
 
     def recording(node, c, graph, agents, joint_cache=None, mdds=None):
-        triples.append(_Solver._memo_key(node, c))
+        triples.append(solvers[-1]._memo_key(node, c))
         return classify(node, c, graph, agents, joint_cache, mdds)
 
+    monkeypatch.setattr(_Solver, "__init__", keeping)
     monkeypatch.setattr(mdd_mod, "classify", recording)
     cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
                            tfloor=3, agents=[6], instances=1)
     result = solve(gen_instance(cfg, 6, seed=777_004),
                    SolverConfig(ec_enabled=False, mdde_enabled=True, time_limit=60))
     assert result.status == "solved"
-    # every label entry holds the constraint sets its key names, so no id repeats
+    # the solve's MDD-E memo holds every diagram a key names, so no id repeats
     assert len(triples) == len(set(triples)) == result.stats.classify_calls
     assert result.stats.label_hits > 0
 
@@ -102,6 +108,11 @@ def test_over_the_cap_is_memoised_as_cardinal_without_bypass(cap, monkeypatch):
     assert solver._find_conflict(root) == (c, None, mdd_mod.CARDINAL)
     assert solver._find_conflict(root) == (c, None, mdd_mod.CARDINAL)
     key = solver._memo_key(root, c)
-    assert key[4:] == _conflict_key(c)
-    assert solver.labels == {key: (mdd_mod.CARDINAL, None, root.omegas[0], root.omegas[1])}
+    assert key[2:] == _conflict_key(c)
+    if cap == 5:  # a diagram over the cap is named None
+        assert key[:2] == (None, None)
+    else:
+        assert key[:2] == tuple(id(solver.mdds.get(k, root.paths[k].cost, root.omegas[k]))
+                                for k in (c.i, c.j))
+    assert solver.labels == {key: (mdd_mod.CARDINAL, None)}
     assert (solver.stats.classify_calls, solver.stats.label_hits) == (1, 1)

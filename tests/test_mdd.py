@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mapfe import mdd as mdd_mod
 from mapfe.cbs import SolverConfig, VertexConflict, _Solver, solve
@@ -10,6 +11,7 @@ from mapfe.mdd import (
     CARDINAL,
     NON_CARDINAL,
     SEMI_CARDINAL,
+    MddECache,
     MddENode,
     build_joint,
     build_mdd_e,
@@ -24,6 +26,7 @@ from reference import (
     classify_by_enumeration,
     enumerate_cost_d_paths,
     joint_levels_by_enumeration,
+    joint_successors,
     mdd_path_set,
     path_commits,
 )
@@ -355,3 +358,80 @@ def test_depth_first_bypass_equals_the_breadth_first_reference(instance):
                 comps = mdd_mod._bypass_comps(depth, c, agent_id)
                 assert comps == bypass_comps_breadth_first(breadth, c, agent_id), (c, agent_id)
                 assert depth.pairs <= breadth.pairs
+
+
+def _banned_sets(rng, graph, agent, count):
+    """A chain of constraint sets, each its parent plus one random vertex,
+    edge or boarding ban, as CT branching derives them; many bans fall
+    where no cost-d path goes, so equal diagrams come up."""
+    cells = [v for v in graph.vertices() if graph.passable(v)]
+    sets = [ConstraintSet()]
+    for _ in range(count):
+        cs = rng.choice(sets)
+        kind = rng.choice(["vertex", "edge", "boarding"] if graph.elevators else ["vertex", "edge"])
+        lo = rng.randint(0, 8)
+        if kind == "vertex":
+            v = rng.choice(cells)
+            if v != agent.start:
+                sets.append(cs.with_vertex_ban(v, lo, lo + rng.randint(0, 2)))
+        elif kind == "edge":
+            v = rng.choice(cells)
+            moves = [u for u in cells if u.floor == v.floor and abs(u.x - v.x) + abs(u.y - v.y) == 1]
+            if moves:
+                sets.append(cs.with_edge_ban(v, rng.choice(moves), lo))
+        else:
+            e = rng.choice(graph.elevators)
+            sets.append(cs.with_boarding_ban(e.id, rng.randint(1, graph.floors), lo,
+                                             lo + rng.randint(0, 3)))
+    return sets
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(multi_floor_instances(), st.integers(0, 2**32 - 1))
+def test_cache_returns_fresh_diagrams_one_object_per_distinct_diagram(instance, seed):
+    rng = random.Random(seed)
+    graph, agents = instance.graph, instance.agents
+    mdds = MddECache(graph, agents)
+    returned = []
+    for agent in agents:
+        base = plan(agent, graph, ConstraintSet())
+        if base is None:
+            continue  # the goal is out of reach
+        for cs in _banned_sets(rng, graph, agent, 8):
+            for d in (base.cost, base.cost + 1, base.cost + 2):
+                mdd = mdds.get(agent.id, d, cs)
+                fresh = build_mdd_e(agent, d, cs, graph)
+                assert (mdd.levels, mdd.edges) == (fresh.levels, fresh.edges)
+                returned.append(mdd)
+    assert mdds.builds + mdds.reuses == len(returned)
+    assert len({id(m) for m in returned}) == mdds.builds - mdds.shared
+    for a in returned:
+        for b in returned:
+            equal = (a.agent, a.d, a.levels, a.edges) == (b.agent, b.d, b.levels, b.edges)
+            assert (a is b) == equal
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(multi_floor_instances(), st.integers(0, 2**32 - 1))
+def test_joint_successors_equal_the_reference_product_filter(instance, seed):
+    """Every expanded pair's successors, at every level of the product of
+    two agents' MDD-Es (costs up to 2 above optimal, random bans), equal
+    the filtered product of the reference transitions, order included."""
+    rng = random.Random(seed)
+    graph, agents = instance.graph, instance.agents
+    base = {a: plan(a, graph, ConstraintSet()) for a in agents}
+    for a, b in zip(agents, agents[1:]):
+        if base[a] is None or base[b] is None:
+            continue  # a goal is out of reach
+        mdd_a, mdd_b = (build_mdd_e(x, base[x].cost + rng.randint(0, 2),
+                                    rng.choice(_banned_sets(rng, graph, x, 3)), graph)
+                        for x in (a, b))
+        for aware in (True, False):
+            joint = build_joint(mdd_a, mdd_b, elevator_aware=aware)
+            for t, pairs in joint.all_levels().items():
+                if t == joint.t_end:
+                    continue
+                for pair in pairs:
+                    assert joint.successors(t, pair) == joint_successors(joint, t, pair), (t, pair)
