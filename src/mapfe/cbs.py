@@ -17,22 +17,21 @@ of the solve, and each path's ride and door presences are extracted once
 (`elevator.RideSummaries`) and kept per agent with each CT node, so a scan
 reads them off the node. Sibling subtrees keep adding the same ban to
 the same parent set; `ConstraintSet` derives each (parent, ban) child
-once, so those branches share one set object and every memo keyed by a
-set's identity hits across them. A child replans one agent, so it keeps
-its parent's conflicts that do not involve that agent and rescans only
-that agent against the others. About half the children are never
+once, and a set is its own memo key by identity, so those branches share
+its plans and MDD-Es. A child replans one agent, so it keeps its
+parent's conflicts that do not involve that agent and rescans only that
+agent against the others. About half the children are never
 expanded, so a child is planned at once but scanned only when it reaches
 the top of the open list: until then it holds its parent's list and is
 queued under the count of that list's conflicts without the replanned
 agent, a lower bound on its own count. A child also keeps the other agents'
 constraint sets, and so their MDD-Es: a conflict's label and bypass depend
 only on the two MDD-Es and the conflict, and one joint search
-(`mdd.classify`) yields both, so it runs once per solve per triple and
-both are memoised under it. The memo names each MDD-E by its identity,
-and `mdd.MddECache` makes equal diagrams one object, so a label also
-serves nodes whose agents reached the same diagrams under other
-constraint sets. The memo holds labels and bypass paths, never a joint
-MDD-E; a joint lives for one expansion.
+(`mdd.classify`, given both diagrams) yields both, so it runs once per
+solve per triple, the memo's key. `mdd.MddECache` makes equal diagrams
+one object, so a label also serves nodes whose agents reached the same
+diagrams under other constraint sets. The memo holds labels and bypass
+paths, never a joint MDD-E; a joint lives for one expansion.
 Invariant: every expanded CT node's conflict list equals
 `enumerate_conflicts` over its paths, in `_conflict_key` order, which is a
 total order on a plan's conflicts. `validate` keeps the full scan and
@@ -52,6 +51,7 @@ from .model import Instance, MultiFloorGraph, Vertex
 from .sipp import ConstraintSet, GridIndex, Path, cost_to_go, plan
 
 _KIND_RANK = {"vertex": 0, "edge": 1, "boarding": 2, "occupancy": 3}
+_UNPLANNED = object()  # a plan memo key not planned yet (None is no path)
 
 
 class PathStructureError(ValueError):
@@ -320,13 +320,10 @@ class _Solver:
         self.mdds = mdd_mod.MddECache(self.graph, self.agents, self.heuristics)
         self.steps: dict[tuple[Vertex, int], tuple[Vertex, int]] = {}
         self.shared_conflicts: dict[Conflict, Conflict] = {}
-        # Each agent's interned path, or None, per constraint set, keyed
-        # like `mdd.MddECache` by (agent, set identity); the entry holds
-        # the set, so no id is reused while the solve runs.
-        self.plans: dict[tuple[int, int], tuple[ConstraintSet, Path | None]] = {}
-        # Each conflict's label and interned bypass, or None, keyed by
-        # `_memo_key`; `mdds` keeps every diagram its keys name by id, so
-        # no id is reused while the solve runs.
+        # Each agent's interned path, or None, per (agent, constraint set)
+        self.plans: dict[tuple[int, ConstraintSet], Path | None] = {}
+        # Each conflict's label and interned bypass, or None, per (both
+        # agents' MDD-Es, the conflict's `_conflict_key`)
         self.labels: dict[tuple, tuple[str, tuple[int, Path] | None]] = {}
 
     def run(self) -> SolveResult:
@@ -392,17 +389,17 @@ class _Solver:
 
     def _plan(self, agent_id: int, omega: ConstraintSet) -> Path | None:
         """Agent's plan under omega, run once per (agent, constraint set)."""
-        key = (agent_id, id(omega))
-        entry = self.plans.get(key)
-        if entry is None:
+        key = (agent_id, omega)
+        path = self.plans.get(key, _UNPLANNED)
+        if path is _UNPLANNED:
             t_start = time.perf_counter()
             path = plan(self.agents[agent_id], self.graph, omega, self.heuristics[agent_id])
             self.stats.plan_time += time.perf_counter() - t_start
-            entry = self.plans[key] = (omega, None if path is None else self._intern(path))
+            path = self.plans[key] = None if path is None else self._intern(path)
             self.stats.plans += 1
         else:
             self.stats.plan_reuses += 1
-        return entry[1]
+        return path
 
     def _intern(self, path: Path) -> Path:
         """The path with every (vertex, t) step shared with equal steps of
@@ -449,18 +446,11 @@ class _Solver:
         self.stats.generated += 1
         return node
 
-    def _memo_key(self, node: CTNode, c: Conflict) -> tuple:
-        """What a conflict's label and bypass depend on: both agents' MDD-Es,
-        one object per distinct diagram in `mdd.MddECache`, and the
-        conflict itself. A diagram over the node cap is named None: every
-        conflict on one is cardinal without a bypass."""
-        return (self._diagram(node, c.i), self._diagram(node, c.j), *_conflict_key(c))
-
-    def _diagram(self, node: CTNode, k: int) -> int | None:
-        try:
-            return id(self.mdds.get(k, node.paths[k].cost, node.omegas[k]))
-        except mdd_mod.MddSizeExceeded:
-            return None
+    def _diagrams(self, node: CTNode, c: Conflict) -> tuple:
+        """The conflict's two MDD-Es in the node, c.i's first; None for one
+        over the node cap."""
+        paths, omegas, get = node.paths, node.omegas, self.mdds.get
+        return (get(c.i, paths[c.i].cost, omegas[c.i]), get(c.j, paths[c.j].cost, omegas[c.j]))
 
     def _find_conflict(self, node: CTNode):
         """(conflict, bypass, label) for the conflict to resolve next:
@@ -475,11 +465,11 @@ class _Solver:
         joint_cache: dict = {}
         best = None  # (class_rank, conflict, bypass)
         for c in node.conflicts:
-            key = self._memo_key(node, c)
+            mdd_i, mdd_j = self._diagrams(node, c)
+            key = (mdd_i, mdd_j, *_conflict_key(c))
             entry = self.labels.get(key)
             if entry is None:
-                label, found = mdd_mod.classify(node, c, self.graph, self.agents,
-                                                joint_cache, self.mdds)
+                label, found = mdd_mod.classify(c, mdd_i, mdd_j, joint_cache)
                 bypass = (found[0][0], self._intern(found[0][1])) if found else None
                 entry = self.labels[key] = (label, bypass)
                 self.stats.classify_calls += 1

@@ -104,11 +104,12 @@ def extract_ride(steps: list[tuple[Vertex, int]], graph: MultiFloorGraph, agent:
 
 class RideSummaries:
     """Each path's ride (stamped with its agent's id, or None) and door
-    presences, extracted once per solve. Summaries are keyed by path
-    identity, and the memo keeps every path it has summarised alive, so an
-    id is never reused; a path belongs to one agent in a solve. Equal
-    summaries are stored once: an agent's replans mostly keep its ride, and
-    paths with no ride and no door step all share one summary. So are equal
+    presences, extracted once per solve. Summaries are keyed by `id(path)`,
+    because `Path` hashes by value in O(length), and the memo keeps every
+    path it has summarised alive, so an id is never reused; a path belongs
+    to one agent in a solve. Equal summaries are stored once: an agent's
+    replans mostly keep its ride, and paths with no ride and no door step
+    all share one summary. So are equal
     plans' tuples of summaries (`with_path`), which CT nodes hold: a long
     solve's nodes share a few hundred of them."""
 

@@ -9,18 +9,19 @@ prune boarding overlaps and door presences that a plain MDD cannot see.
 An MDD-E depends only on (agent, cost, constraint set), so a solve builds
 each one once (`MddECache`) and stores every node, level and successor
 tuple once. Many constraint sets give equal diagrams; those builds return
-the first such diagram, so within a solve a diagram is one object and its
-identity names it. Classification first asks each agent's own MDD-E
+the first such diagram, so within a solve a diagram is one object, and an
+`MddE` (hashed by identity) is its own memo key. `classify` takes a
+conflict and its two diagrams. It first asks each agent's own MDD-E
 whether every cost-d path commits that agent's side of the conflict
 (`_unavoidable`, the ICBS width-1 test widened to elevator conflicts);
 only the other sides are searched in the joint product, which expands
 pairs on demand, each side's transitions from a component computed once
-per joint and the pair tests run inline. The search is
-depth-first and stops at the first complete pair path in successor order,
-the path a breadth-first search would return, having expanded only the
-pairs it walked through. A search that reaches the last level is that
-agent's bypass, so `classify` returns the label and the bypasses of one
-search together.
+per joint and the pair tests run inline. The search is depth-first and
+stops at the first complete pair path in successor order, the path a
+breadth-first search would return, having expanded only the pairs it
+walked through. A search that reaches the last level is that agent's
+bypass, so `classify` returns the label and the bypasses of one search
+together.
 
 A joint component is a plain `MddENode`, read together with the level t it
 sits at: node.time == t stands on node.vertex, node.time < t is parked at
@@ -46,10 +47,12 @@ LABELS = (CARDINAL, SEMI_CARDINAL, NON_CARDINAL)  # indexed by the bypasses foun
 # Most nodes one MDD-E, or pairs one joint MDD-E, may hold; read at call time.
 NODE_CAP = 200_000
 
+_UNBUILT = object()  # an `MddECache` key not built yet (None is a build over the cap)
+
 
 class MddSizeExceeded(Exception):
-    """Construction crossed the node cap; callers fall back to treating the
-    conflict as cardinal."""
+    """Construction crossed the node cap; the conflict is then treated as
+    cardinal."""
 
 
 class MddENode(NamedTuple):
@@ -59,15 +62,14 @@ class MddENode(NamedTuple):
     board_time: int  # -1 until the agent has boarded
 
 
-@dataclass
+@dataclass(eq=False)
 class MddE:
     agent: Agent
     d: int
     levels: dict[int, tuple[MddENode, ...]]
     edges: dict[MddENode, tuple[MddENode, ...]]
     graph: MultiFloorGraph
-    rides: dict[tuple[int, int], ElevatorUsage] = field(
-        default_factory=dict, repr=False, compare=False)
+    rides: dict[tuple[int, int], ElevatorUsage] = field(default_factory=dict, repr=False)
 
     @property
     def empty(self) -> bool:
@@ -199,15 +201,14 @@ def _add_ride(constraints: ConstraintSet, ride: Ride, n: MddENode, d: int, add) 
 
 
 class MddECache:
-    """The MDD-Es of one solve, keyed by (agent, path cost, identity of the
-    agent's `ConstraintSet`). Constraint sets are never mutated (`with_*`
-    returns a new one) and each entry holds its set, so an id is never
-    reused while its entry lives and a hit is exact. Builds over the node
-    cap are remembered as such. Every node and every level or successor
+    """The MDD-Es of one solve, keyed by (agent, path cost, the agent's
+    `ConstraintSet`), which hashes by identity and is never mutated
+    (`with_*` returns a new one), so a hit is exact. Builds over the node
+    cap are remembered as None. Every node and every level or successor
     tuple is stored once per solve, which keeps the memo small: most of a
     solve's MDD-Es share most of their nodes. A build equal to an earlier
     one (same agent, cost, levels and successors) returns that earlier
-    object, so equal diagrams are one object and `id` names a diagram for
+    object, so equal diagrams are one object, which names the diagram for
     the rest of the solve; `shared` counts those builds. `heuristics`,
     indexed by agent id, are the agents' `sipp.cost_to_go`."""
 
@@ -215,7 +216,7 @@ class MddECache:
         self.graph = graph
         self.agents = agents
         self.heuristics = heuristics
-        self.entries: dict[tuple[int, int, int], tuple[ConstraintSet, MddE | None]] = {}
+        self.entries: dict[tuple[int, int, ConstraintSet], MddE | None] = {}
         self.nodes: dict[MddENode, MddENode] = {}
         self.tuples: dict[tuple[MddENode, ...], tuple[MddENode, ...]] = {}
         # the distinct diagrams, by a hash of (agent, cost, level tuple ids)
@@ -224,10 +225,12 @@ class MddECache:
         self.reuses = 0
         self.shared = 0
 
-    def get(self, agent_id: int, d: int, constraints: ConstraintSet) -> MddE:
-        key = (agent_id, d, id(constraints))
-        entry = self.entries.get(key)
-        if entry is None:
+    def get(self, agent_id: int, d: int, constraints: ConstraintSet) -> MddE | None:
+        """The agent's cost-d MDD-E under the constraints, or None when it
+        is over the node cap."""
+        key = (agent_id, d, constraints)
+        mdd = self.entries.get(key, _UNBUILT)
+        if mdd is _UNBUILT:
             self.builds += 1
             heuristic = self.heuristics[agent_id] if self.heuristics is not None else None
             try:
@@ -235,12 +238,10 @@ class MddECache:
                                                self.graph, heuristic))
             except MddSizeExceeded:
                 mdd = None
-            entry = self.entries[key] = (constraints, mdd)
+            self.entries[key] = mdd
         else:
             self.reuses += 1
-        if entry[1] is None:
-            raise MddSizeExceeded(f"MDD-E for agent {agent_id} exceeded {NODE_CAP} nodes")
-        return entry[1]
+        return mdd
 
     def _shared(self, mdd: MddE) -> MddE:
         """The diagram with its nodes and tuples interned, or the earlier
@@ -326,7 +327,6 @@ class JointMddE:
     t_end: int
     levels: dict[int, list[tuple[MddENode, MddENode]]]
     adj: dict[tuple[int, tuple], list[tuple[tuple, _Trans, _Trans]]]
-    elevator_aware: bool
     pairs: int = 0
     moves: tuple[dict, dict] = field(default_factory=lambda: ({}, {}), repr=False)
 
@@ -344,7 +344,6 @@ class JointMddE:
             ca, cb = pair
             out = self.adj[key] = []
             moves_b = self.transitions(1, cb, t)
-            aware = self.elevator_aware
             for sa, tra in self.transitions(0, ca, t):
                 ua, wa, _ = tra
                 moving = ua is not None and wa is not None and ua != wa
@@ -354,7 +353,7 @@ class JointMddE:
                         continue  # vertex conflict at t+1
                     if moving and ua == wb and wa == trb.u:
                         continue  # swap
-                    if aware and (sa.elevator != -1 or sb.elevator != -1) and _ride_conflicts(
+                    if (sa.elevator != -1 or sb.elevator != -1) and _ride_conflicts(
                             self.mdd_a, self.mdd_b, ca, cb, sa, sb, tra, trb, t):
                         continue
                     out.append(((sa, sb), tra, trb))
@@ -408,14 +407,14 @@ class JointMddE:
         return {(_vertex_at(a, t), _vertex_at(b, t)) for a, b in self.all_levels().get(t, ())}
 
 
-def build_joint(mdd_a: MddE, mdd_b: MddE, elevator_aware: bool = True) -> JointMddE:
+def build_joint(mdd_a: MddE, mdd_b: MddE) -> JointMddE:
     """The joint MDD-E of two agents with only its root level in place;
     pairs are expanded as searches reach them."""
     t_end = max(mdd_a.d, mdd_b.d)
     levels: dict[int, list[tuple[MddENode, MddENode]]] = {}
     if not (mdd_a.empty or mdd_b.empty or mdd_a.root.vertex == mdd_b.root.vertex):
         levels[0] = [(mdd_a.root, mdd_b.root)]
-    return JointMddE(mdd_a, mdd_b, t_end, levels, {}, elevator_aware)
+    return JointMddE(mdd_a, mdd_b, t_end, levels, {})
 
 
 def _ride_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra: _Trans, trb: _Trans, t: int) -> bool:
@@ -555,44 +554,29 @@ def _comps_to_path(comps: list, mdd: MddE) -> Path:
     return Path(tuple(steps))
 
 
-def _joint(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
-           joint_cache: dict | None, mdds: MddECache | None) -> JointMddE:
-    """The joint MDD-E of the conflict's two agents in the node, its first
-    side always the lower agent id, so that its search order, and so any
-    bypass, does not depend on which conflict built it. `joint_cache`
-    keys joints by their two MDD-Es. Raises `MddSizeExceeded` when an
-    MDD-E is over the cap."""
-    i, j = c.i, c.j
-    if mdds is None:
-        mdds = MddECache(graph, agents)
-    mdd_i = mdds.get(i, node.paths[i].cost, node.omegas[i])
-    mdd_j = mdds.get(j, node.paths[j].cost, node.omegas[j])
-    pair = (mdd_i, mdd_j) if i < j else (mdd_j, mdd_i)
-    key = (id(pair[0]), id(pair[1]))  # each joint holds both, so ids stay unique
-    joint = joint_cache.get(key) if joint_cache is not None else None
+def classify(c, mdd_i: MddE | None, mdd_j: MddE | None, joint_cache: dict | None = None
+             ) -> tuple[str, tuple[tuple[int, Path], ...] | None]:
+    """Cardinality of a conflict on its two agents' MDD-Es (c.i's first),
+    with the bypasses that decide it. An agent's bypass is an equal-cost
+    path inside the joint MDD-E that avoids its side of the conflict;
+    `found` holds each (agent id, Path), lower id first, and the label is
+    cardinal, semi-cardinal or non-cardinal as it holds none, one or both.
+    A side that every path of the agent's own MDD-E commits has none, with
+    no joint search. A diagram over the node cap (None), or a joint that
+    crosses it, gives (CARDINAL, None), the safe choice. `joint_cache`
+    keeps joints by their two diagrams, the lower agent id's first, so a
+    joint's search order, and so any bypass, does not depend on which
+    conflict built it."""
+    if mdd_i is None or mdd_j is None:
+        return CARDINAL, None
+    pair = (mdd_i, mdd_j) if c.i < c.j else (mdd_j, mdd_i)
+    joints = {} if joint_cache is None else joint_cache
+    joint = joints.get(pair)
     if joint is None:
-        joint = build_joint(*pair, elevator_aware=True)
-        if joint_cache is not None:
-            joint_cache[key] = joint
-    return joint
-
-
-def classify(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
-             joint_cache: dict | None = None,
-             mdds: MddECache | None = None) -> tuple[str, tuple[tuple[int, Path], ...] | None]:
-    """Cardinality of a conflict in a CT node, with the bypasses that decide
-    it. An agent's bypass is an equal-cost path inside the joint MDD-E that
-    avoids its side of the conflict; `found` holds each (agent id, Path),
-    lower id first, and the label is cardinal, semi-cardinal or
-    non-cardinal as it holds none, one or both. A side that every path of
-    the agent's own MDD-E commits has none, with no joint search.
-    Oversized diagrams fall back to (CARDINAL, None), the safe choice.
-    `mdds` is the solve's MDD-E memo; without one the two MDD-Es are built
-    afresh."""
+        joint = joints[pair] = build_joint(*pair)
     found = []
     try:
-        joint = _joint(node, c, graph, agents, joint_cache, mdds)
-        for agent_id, mdd in zip(sorted((c.i, c.j)), (joint.mdd_a, joint.mdd_b)):
+        for agent_id, mdd in zip(sorted((c.i, c.j)), pair):
             comps = _bypass_comps(joint, c, agent_id)
             if comps is not None:
                 found.append((agent_id, _comps_to_path(comps, mdd)))
@@ -601,9 +585,9 @@ def classify(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
     return LABELS[len(found)], tuple(found)
 
 
-def find_bypass(node, c, graph: MultiFloorGraph, agents: tuple[Agent, ...],
-                mdds: MddECache | None = None) -> tuple[int, Path] | None:
-    """The lower agent id's bypass from a fresh `classify`, else the other
-    agent's; None when neither has one or a diagram is over the cap."""
-    found = classify(node, c, graph, agents, None, mdds)[1]
+def find_bypass(c, mdd_i: MddE | None, mdd_j: MddE | None) -> tuple[int, Path] | None:
+    """The first bypass of a `classify` on a fresh joint: the lower agent
+    id's, else the other agent's; None when neither has one or a diagram
+    is over the cap."""
+    found = classify(c, mdd_i, mdd_j)[1]
     return found[0] if found else None

@@ -49,7 +49,7 @@ def _with_interval(bans: dict, key, lo: int, hi: int) -> dict:
     return out
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class ConstraintSet:
     """One agent's constraints: vertex bans and boarding bans are closed
     time intervals (kept normalized), edge bans are exact departures.
@@ -57,15 +57,15 @@ class ConstraintSet:
     Sets are never mutated: each `with_*` derives a child, and the parent
     keeps its children keyed by the ban, so the same ban on the same set
     gives the same object. Sibling CT subtrees that add one ban to one set
-    then share the child, and every memo keyed by a set's identity (plans,
-    MDD-Es, labels, bypasses) hits across them. `children` is no part of
-    a set's value: `==` and `repr` ignore it."""
+    then share the child. A set hashes and compares by identity, so it is
+    its own key in the solver's plan memo and in `mdd.MddECache`, and those
+    memos hit across such subtrees; two sets with equal bans reached in
+    another order are two keys. `repr` leaves out `children`."""
 
     vertex_bans: dict[Vertex, tuple[Interval, ...]] = field(default_factory=dict)
     edge_bans: frozenset[tuple[Vertex, Vertex, int]] = field(default_factory=frozenset)
     boarding_bans: dict[tuple[int, int], tuple[Interval, ...]] = field(default_factory=dict)
-    children: dict[tuple, "ConstraintSet"] | None = field(default=None, init=False,
-                                                           compare=False, repr=False)
+    children: dict[tuple, "ConstraintSet"] | None = field(default=None, init=False, repr=False)
 
     def _derive(self, ban: tuple, make) -> "ConstraintSet":
         children = self.children
@@ -94,12 +94,6 @@ class ConstraintSet:
 
     def boarding_banned(self, elevator: int, floor: int, t: int) -> bool:
         return interval_contains(self.boarding_bans.get((elevator, floor), ()), t)
-
-    def size(self) -> int:
-        n = len(self.edge_bans)
-        n += sum(hi - lo + 1 for ivs in self.vertex_bans.values() for lo, hi in ivs)
-        n += sum(hi - lo + 1 for ivs in self.boarding_bans.values() for lo, hi in ivs)
-        return n
 
     def max_end(self) -> int:
         ends = [0]

@@ -425,7 +425,7 @@ def pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra, trb, t: int, elevator_awar
     return False
 
 
-def joint_successors(joint, t: int, pair: tuple) -> list:
+def joint_successors(joint, t: int, pair: tuple, elevator_aware: bool) -> list:
     """The conflict-free successors of a level-t pair of a `mdd.JointMddE`:
     the product of both sides' `comp_succs`, filtered by `pair_conflicts`,
     in `itertools.product` order."""
@@ -434,5 +434,18 @@ def joint_successors(joint, t: int, pair: tuple) -> list:
     return [((sa, sb), tra, trb)
             for (sa, tra), (sb, trb) in itertools.product(comp_succs(mdd_a, ca, t),
                                                           comp_succs(mdd_b, cb, t))
-            if not pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra, trb, t,
-                                  joint.elevator_aware)]
+            if not pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra, trb, t, elevator_aware)]
+
+
+def joint_vertex_pairs(joint, t: int, elevator_aware: bool) -> set:
+    """Where the two agents of a `mdd.JointMddE` stand at level t of the
+    product, expanded level by level from its root through
+    `joint_successors`; without `elevator_aware` this is the plain product
+    of two MDDs, which sees no ride."""
+    from mapfe.mdd import _vertex_at
+
+    level = joint.levels.get(0, [])
+    for s in range(t):
+        level = list(dict.fromkeys(succ for pair in level
+                                   for succ, _, _ in joint_successors(joint, s, pair, elevator_aware)))
+    return {(_vertex_at(a, t), _vertex_at(b, t)) for a, b in level}

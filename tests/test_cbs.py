@@ -135,8 +135,13 @@ def test_children_grow_their_constraint_sets(flat3):
     conflict, _, _ = solver._find_conflict(root)
     children = solver._branch(root, conflict)
     assert len(children) == 2
+
+    def banned_steps(cs):  # edge bans, plus the time steps of vertex and boarding bans
+        return len(cs.edge_bans) + sum(hi - lo + 1 for bans in (cs.vertex_bans, cs.boarding_bans)
+                                       for ivs in bans.values() for lo, hi in ivs)
+
     for child in children:
-        grew = [i for i in range(2) if child.omegas[i].size() > root.omegas[i].size()]
+        grew = [i for i in range(2) if banned_steps(child.omegas[i]) > banned_steps(root.omegas[i])]
         assert len(grew) == 1
         assert child.g >= root.g
 

@@ -1,11 +1,12 @@
 """The solve-wide label and bypass memo of MDD-E conflict selection.
 
 A conflict's label and bypass depend only on the two agents' MDD-Es and
-the conflict, so a solve classifies each such triple once. Every label
-the solver uses, memoised or not, must equal a fresh classification of
-the conflict in the node at hand, and every bypass it adopts a fresh
-`find_bypass`. The bypass comes from the classification's own joint
-search: the solver never searches for one again.
+the conflict, so a solve classifies each such triple once, and the
+triple is the memo's key. Every label the solver uses, memoised or not,
+must equal a fresh classification of the conflict in the node at hand,
+and every bypass it adopts a fresh `find_bypass`. The bypass comes from
+the classification's own joint search: the solver never searches for one
+again, and it fetches each conflict's two diagrams once.
 """
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +17,12 @@ from mapfe.cbs import SolverConfig, _conflict_key, _Solver, solve
 from mapfe.model import Instance
 
 from test_incremental import PINNED, multi_floor_instances
-from test_mdd import _parked_in_the_way
+from test_mdd import _diagrams, _parked_in_the_way
+
+
+def _key(solver, node, c):
+    """The label memo's key of a conflict in a CT node."""
+    return (*solver._diagrams(node, c), *_conflict_key(c))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True,
@@ -30,12 +36,12 @@ def test_memoised_labels_and_bypasses_equal_fresh_ones(instance):
     def checked_find(self, node):
         chosen, bypass, label = find_conflict(self, node)
         for c in node.conflicts:
-            entry = self.labels.get(self._memo_key(node, c))
+            entry = self.labels.get(_key(self, node, c))
             if entry is not None:
-                assert entry[0] == real_classify(node, c, graph, agents)[0], c
+                assert entry[0] == real_classify(c, *_diagrams(node, c, graph, agents))[0], c
         if chosen is not None and label is not None:
-            assert (label, bypass) == self.labels[self._memo_key(node, chosen)][:2]
-            assert bypass == real_bypass(node, chosen, graph, agents), chosen
+            assert (label, bypass) == self.labels[_key(self, node, chosen)][:2]
+            assert bypass == real_bypass(chosen, *_diagrams(node, chosen, graph, agents)), chosen
         return chosen, bypass, label
 
     def checked_bypass(self, node, bypass):
@@ -54,27 +60,45 @@ def test_memoised_labels_and_bypasses_equal_fresh_ones(instance):
 
 def test_each_conflict_is_classified_once_per_solve(monkeypatch):
     triples = []
-    solvers = []
-    classify, init = mdd_mod.classify, _Solver.__init__
+    classify = mdd_mod.classify
 
-    def keeping(self, *args):
-        init(self, *args)
-        solvers.append(self)
+    def recording(c, mdd_i, mdd_j, joint_cache=None):
+        triples.append((mdd_i, mdd_j, *_conflict_key(c)))
+        return classify(c, mdd_i, mdd_j, joint_cache)
 
-    def recording(node, c, graph, agents, joint_cache=None, mdds=None):
-        triples.append(solvers[-1]._memo_key(node, c))
-        return classify(node, c, graph, agents, joint_cache, mdds)
-
-    monkeypatch.setattr(_Solver, "__init__", keeping)
     monkeypatch.setattr(mdd_mod, "classify", recording)
     cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
                            tfloor=3, agents=[6], instances=1)
     result = solve(gen_instance(cfg, 6, seed=777_004),
                    SolverConfig(ec_enabled=False, mdde_enabled=True, time_limit=60))
     assert result.status == "solved"
-    # the solve's MDD-E memo holds every diagram a key names, so no id repeats
+    # equal diagrams are one object, so no (diagrams, conflict) triple repeats
     assert len(triples) == len(set(triples)) == result.stats.classify_calls
     assert result.stats.label_hits > 0
+
+
+def test_each_conflict_fetches_its_two_diagrams_once(monkeypatch):
+    # every conflict the solver looks at, classified or answered by the
+    # label memo, costs two MDD-E cache lookups, and a classification none
+    # of its own
+    gets = []
+    get = mdd_mod.MddECache.get
+
+    def counting(self, *args):
+        gets.append(args)
+        return get(self, *args)
+
+    monkeypatch.setattr(mdd_mod.MddECache, "get", counting)
+    cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
+                           tfloor=3, agents=[6], instances=1)
+    looked_at = 0
+    for seed in range(777_000, 777_010):
+        gets.clear()
+        s = solve(gen_instance(cfg, 6, seed=seed),
+                  SolverConfig(ec_enabled=True, mdde_enabled=True, time_limit=10)).stats
+        assert len(gets) == 2 * (s.classify_calls + s.label_hits) == s.mdd_builds + s.mdd_reuses, seed
+        looked_at += s.classify_calls + s.label_hits
+    assert looked_at > 0
 
 
 def test_the_solver_searches_each_bypass_once(monkeypatch):
@@ -107,12 +131,12 @@ def test_over_the_cap_is_memoised_as_cardinal_without_bypass(cap, monkeypatch):
     root.conflicts = [c]
     assert solver._find_conflict(root) == (c, None, mdd_mod.CARDINAL)
     assert solver._find_conflict(root) == (c, None, mdd_mod.CARDINAL)
-    key = solver._memo_key(root, c)
+    key = _key(solver, root, c)
     assert key[2:] == _conflict_key(c)
     if cap == 5:  # a diagram over the cap is named None
         assert key[:2] == (None, None)
-    else:
-        assert key[:2] == tuple(id(solver.mdds.get(k, root.paths[k].cost, root.omegas[k]))
-                                for k in (c.i, c.j))
+    else:  # both diagrams fit: the key holds the cache's objects
+        built = [solver.mdds.entries[(k, root.paths[k].cost, root.omegas[k])] for k in (c.i, c.j)]
+        assert None not in built and key[0] is built[0] and key[1] is built[1]
     assert solver.labels == {key: (mdd_mod.CARDINAL, None)}
     assert (solver.stats.classify_calls, solver.stats.label_hits) == (1, 1)

@@ -27,6 +27,7 @@ from reference import (
     enumerate_cost_d_paths,
     joint_levels_by_enumeration,
     joint_successors,
+    joint_vertex_pairs,
     mdd_path_set,
     path_commits,
 )
@@ -80,9 +81,8 @@ def test_reset_window_pair_excluded_only_with_ride_info(corridor2):
     mi = build_mdd_e(ai, 4, ConstraintSet(), corridor2)
     mj = build_mdd_e(aj, 5, ConstraintSet(), corridor2)
     pair = (Vertex(2, 2, 0), Vertex(1, 1, 0))
-    plain = build_joint(mi, mj, elevator_aware=False)
-    aware = build_joint(mi, mj, elevator_aware=True)
-    assert pair in plain.vertex_pairs(3)
+    aware = build_joint(mi, mj)
+    assert pair in joint_vertex_pairs(aware, 3, elevator_aware=False)  # the plain product
     assert pair not in aware.vertex_pairs(3)
 
 
@@ -173,6 +173,13 @@ def _ct(paths, omegas):
     return SimpleNamespace(paths=paths, omegas=omegas)
 
 
+def _diagrams(node, c, graph, agents, mdds=None):
+    """The conflict's two MDD-Es in a CT node, c.i's first, from `mdds` or
+    a fresh `MddECache`; None for one over the node cap."""
+    mdds = MddECache(graph, agents) if mdds is None else mdds
+    return tuple(mdds.get(k, node.paths[k].cost, node.omegas[k]) for k in (c.i, c.j))
+
+
 def _cross_case(flat3):
     # i crosses the center horizontally with two routes; j vertically with
     # two routes; both current paths pass (1,0) at t=1
@@ -194,8 +201,8 @@ def test_classify_cardinal(flat3):
     pj = plan(j, flat3, ConstraintSet())
     node = _ct([pi, pj], [ConstraintSet(), ConstraintSet()])
     c = VertexConflict(0, 1, Vertex(1, 1, 1), 1)
-    assert classify(node, c, flat3, (i, j)) == (CARDINAL, ())
-    assert find_bypass(node, c, flat3, (i, j)) is None
+    assert classify(c, *_diagrams(node, c, flat3, (i, j))) == (CARDINAL, ())
+    assert find_bypass(c, *_diagrams(node, c, flat3, (i, j))) is None
 
 
 def test_classify_semi_cardinal(flat3):
@@ -207,7 +214,7 @@ def test_classify_semi_cardinal(flat3):
     pj = Path(((Vertex(1, 2, 0), 0), (Vertex(1, 1, 0), 1), (Vertex(1, 0, 0), 2)))
     node = _ct([pi, pj], [ConstraintSet(), ConstraintSet()])
     c = VertexConflict(0, 1, Vertex(1, 1, 0), 1)
-    label, found = classify(node, c, flat3, (i, j))
+    label, found = classify(c, *_diagrams(node, c, flat3, (i, j)))
     assert label == SEMI_CARDINAL and [a for a, _ in found] == [0]
     # enumeration agrees: j has no equal-cost path avoiding (1,0)@1
     assert all((Vertex(1, 1, 0), 1) in p for p in enumerate_cost_d_paths(j, flat3, ConstraintSet(), 2))
@@ -225,10 +232,10 @@ def test_classify_non_cardinal_and_bypass(flat3):
     pj = Path(((Vertex(1, 2, 1), 0), (Vertex(1, 1, 1), 1), (Vertex(1, 1, 2), 2)))
     node = _ct([pi, pj], [ConstraintSet(), ConstraintSet()])
     c = VertexConflict(0, 1, Vertex(1, 1, 1), 1)
-    label, found = classify(node, c, flat3, (i, j))
+    label, found = classify(c, *_diagrams(node, c, flat3, (i, j)))
     assert label == NON_CARDINAL
     assert [a for a, _ in found] == [0, 1]
-    assert find_bypass(node, c, flat3, (i, j)) == found[0]
+    assert find_bypass(c, *_diagrams(node, c, flat3, (i, j))) == found[0]
     agent_id, new_path = found[0]
     assert new_path.cost == node.paths[agent_id].cost
     # adopting the bypass removes this conflict from the joint plan
@@ -250,7 +257,7 @@ def test_size_cap_falls_back_to_cardinal(monkeypatch):
     node = _ct([pi, pj], [ConstraintSet(), ConstraintSet()])
     c = VertexConflict(0, 1, Vertex(1, 1, 0), 1)
     monkeypatch.setattr(mdd_mod, "NODE_CAP", 3)
-    assert classify(node, c, g, (i, j)) == (CARDINAL, None)
+    assert classify(c, *_diagrams(node, c, g, (i, j))) == (CARDINAL, None)
 
 
 def test_boarding_conflict_is_cardinal_when_one_elevator(corridor2):
@@ -259,7 +266,7 @@ def test_boarding_conflict_is_cardinal_when_one_elevator(corridor2):
     paths = [plan(a, corridor2, ConstraintSet()) for a in inst.agents]
     (c,) = detect_elevator_conflicts(paths, corridor2)
     node = _ct(paths, [ConstraintSet(), ConstraintSet()])
-    label, _ = classify(node, c, corridor2, inst.agents)
+    label, _ = classify(c, *_diagrams(node, c, corridor2, inst.agents))
     assert label == CARDINAL
 
 
@@ -281,15 +288,15 @@ def test_joint_over_its_cap_is_cardinal_without_bypass(monkeypatch):
     node = _ct([plan(a, g, ConstraintSet()) for a in agents], [ConstraintSet(), ConstraintSet()])
     cap = 20
     joints: dict = {}
-    label, found = classify(node, c, g, agents, joints)
+    label, found = classify(c, *_diagrams(node, c, g, agents), joints)
     (joint,) = joints.values()
     assert label == SEMI_CARDINAL and [a for a, _ in found] == [1] and joint.pairs > cap
     assert not mdd_mod._unavoidable(joint.mdd_a, c, 0)
     monkeypatch.setattr(mdd_mod, "NODE_CAP", cap)
     mdds = [build_mdd_e(a, p.cost, ConstraintSet(), g) for a, p in zip(agents, node.paths)]
     assert [sum(map(len, m.levels.values())) for m in mdds] == [15, 12]
-    assert classify(node, c, g, agents) == (CARDINAL, None)
-    assert find_bypass(node, c, g, agents) is None
+    assert classify(c, *_diagrams(node, c, g, agents)) == (CARDINAL, None)
+    assert find_bypass(c, *_diagrams(node, c, g, agents)) is None
 
 
 def test_unavoidable_side_sees_a_ride_spanning_the_level():
@@ -316,10 +323,16 @@ def test_classify_matches_enumeration(instance):
     path pairs, and every side the single-MDD-E test calls unavoidable is
     committed by every cost-exact path of that agent."""
     graph, agents = instance.graph, instance.agents
-    real = mdd_mod.classify
+    real, find = mdd_mod.classify, _Solver._find_conflict
+    nodes = []  # the node whose conflicts are being classified, last
 
-    def checked(node, c, *args, **kwargs):
-        label, found = real(node, c, *args, **kwargs)
+    def finding(self, node):
+        nodes.append(node)
+        return find(self, node)
+
+    def checked(c, *args, **kwargs):
+        label, found = real(c, *args, **kwargs)
+        node = nodes[-1]
         costs = [p.cost for p in node.paths]
         assert label == classify_by_enumeration(c, agents, graph, node.omegas, costs), c
         for a in (c.i, c.j):
@@ -331,6 +344,7 @@ def test_classify_matches_enumeration(instance):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mdd_mod, "classify", checked)
+        mp.setattr(_Solver, "_find_conflict", finding)
         for ec in (False, True):
             solve(instance, SolverConfig(ec_enabled=ec, mdde_enabled=True, time_limit=0.25))
 
@@ -353,8 +367,9 @@ def test_depth_first_bypass_equals_the_breadth_first_reference(instance):
         solver._scan(node)  # a child is generated unscanned
         for c in node.conflicts:
             for agent_id in (c.i, c.j):
-                depth, breadth = (mdd_mod._joint(node, c, graph, agents, None, solver.mdds)
-                                  for _ in range(2))
+                mdd_i, mdd_j = _diagrams(node, c, graph, agents, solver.mdds)
+                pair = (mdd_i, mdd_j) if c.i < c.j else (mdd_j, mdd_i)
+                depth, breadth = (build_joint(*pair) for _ in range(2))
                 comps = mdd_mod._bypass_comps(depth, c, agent_id)
                 assert comps == bypass_comps_breadth_first(breadth, c, agent_id), (c, agent_id)
                 assert depth.pairs <= breadth.pairs
@@ -428,10 +443,9 @@ def test_joint_successors_equal_the_reference_product_filter(instance, seed):
         mdd_a, mdd_b = (build_mdd_e(x, base[x].cost + rng.randint(0, 2),
                                     rng.choice(_banned_sets(rng, graph, x, 3)), graph)
                         for x in (a, b))
-        for aware in (True, False):
-            joint = build_joint(mdd_a, mdd_b, elevator_aware=aware)
-            for t, pairs in joint.all_levels().items():
-                if t == joint.t_end:
-                    continue
-                for pair in pairs:
-                    assert joint.successors(t, pair) == joint_successors(joint, t, pair), (t, pair)
+        joint = build_joint(mdd_a, mdd_b)
+        for t, pairs in joint.all_levels().items():
+            if t == joint.t_end:
+                continue
+            for pair in pairs:
+                assert joint.successors(t, pair) == joint_successors(joint, t, pair, True), (t, pair)

@@ -250,13 +250,19 @@ def test_same_ban_on_same_set_derives_one_child(case):
     chain = _apply(root, bans)
     # the same (set, ban) derived again gives the identical object
     assert all(a is b for a, b in zip(chain, _apply(root, bans)))
-    # another order reaches an equal set, planned to an equal path
+    # another order reaches a set of equal bans, planned to an equal path
     other = _apply(root, shuffled)[-1]
-    assert other == chain[-1]
+    assert _bans(other) == _bans(chain[-1])
     assert plan(agent, _BAN_MAP, other) == plan(agent, _BAN_MAP, chain[-1])
-    # the children memo is no part of a set's value
+    # the children memo is no part of a set's bans or repr
     parent = chain[-2]
     fresh = ConstraintSet(parent.vertex_bans, parent.edge_bans, parent.boarding_bans)
     assert parent.children and fresh.children is None
-    assert fresh == parent and repr(fresh) == repr(parent)
-    assert root == ConstraintSet() and repr(root) == repr(ConstraintSet())
+    assert _bans(fresh) == _bans(parent) and repr(fresh) == repr(parent)
+    assert _bans(root) == _bans(ConstraintSet()) and repr(root) == repr(ConstraintSet())
+    # a set is named by its identity: two sets of equal bans are two memo keys
+    assert fresh is not parent and len({fresh: 0, parent: 1}) == 2
+
+
+def _bans(cs: ConstraintSet) -> tuple:
+    return cs.vertex_bans, cs.edge_bans, cs.boarding_bans
