@@ -18,7 +18,6 @@ from .elevator import (
     busy_interval,
     detect_elevator_conflicts,
     ec_constraints,
-    occupancy_constraints,
     usages_overlap,
 )
 from .mdd import MddE, MddENode, MddSizeExceeded, build_joint, build_mdd_e, classify, find_bypass
@@ -31,7 +30,6 @@ from .model import (
     MultiFloorGraph,
     ScenarioError,
     Vertex,
-    neighbors,
     parse_map,
     parse_scenario,
     serialize_map,

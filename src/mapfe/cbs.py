@@ -1,10 +1,10 @@
 """High-level constraint-tree search with elevator-aware branching.
 
 Best-first search over CT nodes ordered by (sum of costs, conflict count,
-creation order). Elevator boarding conflicts branch on the paired busy
-intervals when elevator constraints are enabled, which resolves each such
-conflict in one split; door-occupancy conflicts branch on (occupier off the
-door) versus (rider defers boardings whose window covers the presence).
+creation order). A node branches into one child per side of a conflict,
+an (agent, `ConstraintSet` ban) pair (`sides()`, which `mdd.classify`
+tests too); elevator constraints widen a boarding conflict's sides to the
+paired busy intervals (`elevator.ec_constraints`), one split per conflict.
 
 Work that cannot change between CT nodes is done once per solve: the grid
 index (`sipp.GridIndex`: neighbour tuples and BFS distance fields, each
@@ -34,8 +34,8 @@ diagrams under other constraint sets. The memo holds labels and bypass
 paths, never a joint MDD-E; a joint lives for one expansion.
 Invariant: every expanded CT node's conflict list equals
 `enumerate_conflicts` over its paths, in `_conflict_key` order, which is a
-total order on a plan's conflicts. `validate` keeps the full scan and
-certifies every returned plan.
+total order on a plan's conflicts. A full scan, which `validate` keeps to
+certify every returned plan, scans each agent against those after it.
 """
 from __future__ import annotations
 
@@ -45,8 +45,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import mdd as mdd_mod
-from .elevator import (ElevatorConflict, RideSummaries, detect_elevator_conflicts, ec_constraints,
-                       occupancy_constraints)
+from .elevator import ElevatorConflict, RideSummaries, detect_elevator_conflicts, ec_constraints
 from .model import Instance, MultiFloorGraph, Vertex
 from .sipp import ConstraintSet, GridIndex, Path, cost_to_go, plan
 
@@ -71,6 +70,11 @@ class VertexConflict:
     def time(self) -> int:
         return self.t
 
+    def sides(self) -> tuple[tuple[int, tuple], tuple[int, tuple]]:
+        """Each agent's part in the conflict as (agent, `ConstraintSet` ban)."""
+        ban = ("vertex", self.v, self.t, self.t)
+        return ((self.i, ban), (self.j, ban))
+
 
 @dataclass(frozen=True, slots=True)
 class EdgeConflict:
@@ -86,6 +90,11 @@ class EdgeConflict:
     @property
     def time(self) -> int:
         return self.t
+
+    def sides(self) -> tuple[tuple[int, tuple], tuple[int, tuple]]:
+        """Each agent's part in the conflict as (agent, `ConstraintSet` ban)."""
+        return ((self.i, ("edge", self.u, self.w, self.t)),
+                (self.j, ("edge", self.w, self.u, self.t)))
 
 
 Conflict = VertexConflict | EdgeConflict | ElevatorConflict
@@ -192,16 +201,6 @@ def _with_entry(items, k: int, item) -> tuple:
     return tuple(out)
 
 
-def _timeline(path: Path, horizon: int) -> list[Vertex | None]:
-    """Vertex occupied at each time 0..horizon: None while inside a shaft,
-    the goal once the path has ended (finished agents park there)."""
-    where: list[Vertex | None] = [None] * (horizon + 1)
-    for v, t in path.steps:
-        where[t] = v
-    where[path.cost:] = [path.end] * (horizon + 1 - path.cost)
-    return where
-
-
 def enumerate_conflicts(paths: list[Path], graph: MultiFloorGraph, agent: int | None = None,
                         rides: tuple | None = None) -> list[Conflict]:
     """Every vertex, edge, and elevator conflict of the joint plan, with
@@ -210,35 +209,31 @@ def enumerate_conflicts(paths: list[Path], graph: MultiFloorGraph, agent: int | 
     holds each path's ride and door presences (`RideSummaries.get`);
     without it they are extracted afresh."""
     out: list[Conflict] = list(detect_elevator_conflicts(paths, graph, agent, rides))
-    if len(paths) >= 2:
+    n = len(paths)
+    if n >= 2:
         horizon = max(p.cost for p in paths)
-        if agent is None:
-            where = [_timeline(p, horizon) for p in paths]
-            for i, j in itertools.combinations(range(len(paths)), 2):
-                at_i, at_j = where[i], where[j]
-                for t in range(horizon + 1):
-                    vi, vj = at_i[t], at_j[t]
-                    if vi == vj and vi is not None:
-                        out.append(VertexConflict(i, j, vi, t))
-                    elif t < horizon:
-                        wi, wj = at_i[t + 1], at_j[t + 1]
-                        if (vi == wj and wi == vj and vi is not None and wi is not None
-                                and vi != wi and vi.floor == wi.floor):
-                            out.append(EdgeConflict(i, j, vi, wi, t))
-        else:
-            _agent_grid_conflicts(paths, agent, horizon, out)
+        for k in (range(n - 1) if agent is None else (agent,)):
+            _agent_grid_conflicts(paths, k, range(k + 1, n) if agent is None else range(n),
+                                  horizon, out)
     out.sort(key=_conflict_key)
     return out
 
 
-def _agent_grid_conflicts(paths: list[Path], k: int, horizon: int, out: list[Conflict]) -> None:
-    """Append agent k's vertex and edge conflicts with every other agent:
-    only k gets a timeline, and each other path's steps, then its parked
-    tail at the goal, are looked up in it."""
-    at = _timeline(paths[k], horizon)
-    for j, path in enumerate(paths):
+def _agent_grid_conflicts(paths: list[Path], k: int, others: range, horizon: int,
+                          out: list[Conflict]) -> None:
+    """Append agent k's vertex and edge conflicts with each other agent of
+    `others`: only k gets a timeline, its vertex at each time 0..horizon
+    (None inside a shaft, parked at its goal after arriving), and each other
+    path's steps, then its parked tail at the goal, are looked up in it."""
+    mine = paths[k]
+    at: list[Vertex | None] = [None] * (horizon + 1)
+    for v, t in mine.steps:
+        at[t] = v
+    at[mine.cost:] = [mine.end] * (horizon + 1 - mine.cost)
+    for j in others:
         if j == k:
             continue
+        path = paths[j]
         lo, hi = (j, k) if j < k else (k, j)
         steps = path.steps
         v, t = steps[0]
@@ -502,29 +497,12 @@ class _Solver:
         return True
 
     def _branch(self, node: CTNode, c: Conflict) -> list[CTNode]:
-        splits: list[tuple[int, ConstraintSet]] = []
-        if c.kind == "vertex":
-            splits = [(c.i, node.omegas[c.i].with_vertex_ban(c.v, c.t, c.t)),
-                      (c.j, node.omegas[c.j].with_vertex_ban(c.v, c.t, c.t))]
-        elif c.kind == "edge":
-            splits = [(c.i, node.omegas[c.i].with_edge_ban(c.u, c.w, c.t)),
-                      (c.j, node.omegas[c.j].with_edge_ban(c.w, c.u, c.t))]
-        elif c.kind == "boarding":
-            if self.config.ec_enabled:
-                (ki, fi, iv_i), (kj, fj, iv_j) = ec_constraints(c)
-                splits = [(c.i, node.omegas[c.i].with_boarding_ban(ki, fi, *iv_i)),
-                          (c.j, node.omegas[c.j].with_boarding_ban(kj, fj, *iv_j))]
-            else:
-                u_i, u_j = c.usage_i, c.usage_j
-                splits = [(c.i, node.omegas[c.i].with_boarding_ban(c.elevator, u_i.l_s, u_i.t_s, u_i.t_s)),
-                          (c.j, node.omegas[c.j].with_boarding_ban(c.elevator, u_j.l_s, u_j.t_s, u_j.t_s))]
-        else:  # occupancy
-            (occ_agent, v, t), (rider, k, floor, iv) = occupancy_constraints(c)
-            splits = [(occ_agent, node.omegas[occ_agent].with_vertex_ban(v, t, t)),
-                      (rider, node.omegas[rider].with_boarding_ban(k, floor, *iv))]
-
+        """One child per side of the conflict, with the side's ban added;
+        elevator constraints widen a boarding conflict's sides."""
+        sides = ec_constraints(c) if c.kind == "boarding" and self.config.ec_enabled else c.sides()
         children = []
-        for agent_id, omega in splits:
+        for agent_id, ban in sides:
+            omega = node.omegas[agent_id].with_ban(ban)
             path = self._plan(agent_id, omega)
             if path is None:
                 continue

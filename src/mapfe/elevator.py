@@ -4,7 +4,8 @@ An elevator carries one agent per ride. After dropping a rider at floor
 l_g at time t_g it must travel to the next requester's floor before the
 next boarding, so relative to a door on floor f the elevator is busy over
 the closed window [t_s, t_g + |l_g - f| * t_floor]. Boarding overlaps and
-door presences inside such windows are the two elevator-conflict variants.
+door presences inside such windows are the two elevator-conflict variants;
+a conflict's `sides()` are the bans that resolve it, one per agent.
 Each path takes at most one ride, so an agent's elevator usage is one
 `ElevatorUsage` or none, read from the path by `extract_ride`.
 """
@@ -55,6 +56,19 @@ class ElevatorConflict:
     usage_i: ElevatorUsage
     usage_j: ElevatorUsage | None = None  # boarding variant only
     vertex: Vertex | None = None          # occupancy variant only
+
+    def sides(self) -> tuple[tuple[int, tuple], tuple[int, tuple]]:
+        """Each agent's part as (agent, `ConstraintSet` ban): each boarding
+        at its time, or the occupier, then the rider's covering boardings."""
+        u = self.usage_i
+        if self.kind == "boarding":
+            u_j = self.usage_j
+            return ((self.i, ("boarding", u.elevator, u.l_s, u.t_s, u.t_s)),
+                    (self.j, ("boarding", u_j.elevator, u_j.l_s, u_j.t_s, u_j.t_s)))
+        lo, hi = busy_interval(u, self.vertex.floor)  # a boarding at b is busy until b + hi - lo
+        t = self.time
+        return ((self.j, ("vertex", self.vertex, t, t)),
+                (self.i, ("boarding", u.elevator, u.l_s, max(0, t - (hi - lo)), t)))
 
 
 def busy_interval(u: ElevatorUsage, next_floor: int) -> tuple[int, int]:
@@ -189,30 +203,16 @@ def detect_elevator_conflicts(paths, graph: MultiFloorGraph, agent: int | None =
     return conflicts
 
 
-def ec_constraints(c: ElevatorConflict) -> tuple[tuple[int, int, tuple[int, int]], tuple[int, int, tuple[int, int]]]:
-    """The paired range constraints resolving a boarding conflict: each side
-    is (elevator, boarding floor, closed interval) forbidding that agent
-    from starting a ride there during the interval. Any boarding pair drawn
-    from the two intervals still overlaps, so the split loses no solution.
+def ec_constraints(c: ElevatorConflict) -> tuple[tuple[int, tuple], tuple[int, tuple]]:
+    """The paired range constraints resolving a boarding conflict, shaped
+    like `c.sides()`: each agent may not start a ride at its boarding floor
+    from its own boarding time to the end of the other ride's busy window
+    toward that floor. Any boarding pair drawn from the two intervals still
+    overlaps, so the split loses no solution.
     """
     assert c.kind == "boarding" and c.usage_j is not None
     u_i, u_j = c.usage_i, c.usage_j
     _, hi_j = busy_interval(u_j, u_i.l_s)
     _, hi_i = busy_interval(u_i, u_j.l_s)
-    omega_i = (u_i.elevator, u_i.l_s, (u_i.t_s, hi_j))
-    omega_j = (u_j.elevator, u_j.l_s, (u_j.t_s, hi_i))
-    return omega_i, omega_j
-
-
-def occupancy_constraints(c: ElevatorConflict) -> tuple[tuple[int, Vertex, int], tuple[int, int, int, tuple[int, int]]]:
-    """The disjunctive pair for an occupancy conflict: either the occupier
-    keeps off the door at that instant, or the rider defers every boarding
-    whose busy window would cover it. Returns
-    ((occupier, vertex, time), (rider, elevator, boarding floor, interval)).
-    """
-    assert c.kind == "occupancy" and c.vertex is not None
-    u = c.usage_i
-    lo, hi = busy_interval(u, c.vertex.floor)  # a boarding at b is busy until b + hi - lo
-    branch_a = (c.j, c.vertex, c.time)
-    branch_b = (c.i, u.elevator, u.l_s, (max(0, c.time - (hi - lo)), c.time))
-    return branch_a, branch_b
+    return ((c.i, ("boarding", u_i.elevator, u_i.l_s, u_i.t_s, hi_j)),
+            (c.j, ("boarding", u_j.elevator, u_j.l_s, u_j.t_s, hi_i)))

@@ -11,31 +11,33 @@ each one once (`MddECache`) and stores every node, level and successor
 tuple once. Many constraint sets give equal diagrams; those builds return
 the first such diagram, so within a solve a diagram is one object, and an
 `MddE` (hashed by identity) is its own memo key. `classify` takes a
-conflict and its two diagrams. It first asks each agent's own MDD-E
-whether every cost-d path commits that agent's side of the conflict
-(`_unavoidable`, the ICBS width-1 test widened to elevator conflicts);
-only the other sides are searched in the joint product, which expands
-pairs on demand, each side's transitions from a component computed once
-per joint and the pair tests run inline. The search is depth-first and
-stops at the first complete pair path in successor order, the path a
-breadth-first search would return, having expanded only the pairs it
-walked through. A search that reaches the last level is that agent's
-bypass, so `classify` returns the label and the bypasses of one search
-together.
+conflict and its two diagrams. Each agent's side of the conflict is the
+`ConstraintSet` ban of its CT child in a plain split (`c.sides()`), so
+the classifier tests bans and never a conflict's kind: any conflict with
+`sides()` is classified by this code. It first asks each agent's own
+MDD-E whether every cost-d path breaks that agent's ban (`_unavoidable`,
+the ICBS width-1 test widened to elevator conflicts); only the other
+sides are searched in the joint product, which expands pairs on demand,
+each side's transitions from a component computed once per joint and the
+pair tests run inline. The search is depth-first and stops at the first
+complete pair path in successor order, the path a breadth-first search
+would return, having expanded only the pairs it walked through. A search
+that reaches the last level is that agent's bypass, so `classify` returns
+the label and the bypasses of one search together.
 
 A joint component is a plain `MddENode`, read together with the level t it
 sits at: node.time == t stands on node.vertex, node.time < t is parked at
 the goal, and node.time > t is inside a shaft riding toward the node
-(`_vertex_at`). Every busy window comes from `elevator.busy_interval`,
-`usages_overlap` and `door_in_window`, applied to the node's ride
-(`MddE.ride`).
+(`_vertex_at`). The joint's elevator tests come from
+`elevator.usages_overlap` and `door_in_window`, applied to the node's
+ride (`MddE.ride`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .elevator import ElevatorUsage, busy_interval, door_in_window, usages_overlap
+from .elevator import ElevatorUsage, door_in_window, usages_overlap
 from .model import Agent, MultiFloorGraph, Vertex
 from .sipp import ConstraintSet, Path, Ride, _Heuristic, interval_contains
 
@@ -203,7 +205,7 @@ def _add_ride(constraints: ConstraintSet, ride: Ride, n: MddENode, d: int, add) 
 class MddECache:
     """The MDD-Es of one solve, keyed by (agent, path cost, the agent's
     `ConstraintSet`), which hashes by identity and is never mutated
-    (`with_*` returns a new one), so a hit is exact. Builds over the node
+    (`with_ban` returns a new one), so a hit is exact. Builds over the node
     cap are remembered as None. Every node and every level or successor
     tuple is stored once per solve, which keeps the memo small: most of a
     solve's MDD-Es share most of their nodes. A build equal to an earlier
@@ -317,8 +319,8 @@ class JointMddE:
     successors and keeps them, so the depth-first bypass searches of both
     sides, and of every conflict of the two agents in one CT node, expand
     each pair once. Each side's transitions from a component at a level
-    are computed once per joint (`moves`). `levels` holds the root level
-    until `all_levels` expands the whole product. `pairs` counts the
+    are computed once per joint (`moves`). `levels` holds only the root
+    level, empty when the roots clash or a diagram is. `pairs` counts the
     expanded pairs; past `NODE_CAP` every search of this joint raises
     `MddSizeExceeded`."""
 
@@ -387,25 +389,6 @@ class JointMddE:
         if self.pairs > NODE_CAP:
             raise MddSizeExceeded(f"joint MDD-E exceeded {NODE_CAP} pairs")
 
-    def all_levels(self) -> dict[int, list[tuple]]:
-        """Every level of the product, each sorted; later levels stay empty
-        once one is (the joint is then incomplete)."""
-        levels = self.levels
-        for t in range(self.t_end):
-            if t + 1 in levels or t not in levels:
-                continue
-            nxt = {succ: None for pair in levels[t] for succ, _, _ in self.successors(t, pair)}
-            if nxt:
-                levels[t + 1] = sorted(nxt)
-        return levels
-
-    @property
-    def complete(self) -> bool:
-        return bool(self.all_levels().get(self.t_end))
-
-    def vertex_pairs(self, t: int) -> set[tuple[Vertex | None, Vertex | None]]:
-        return {(_vertex_at(a, t), _vertex_at(b, t)) for a, b in self.all_levels().get(t, ())}
-
 
 def build_joint(mdd_a: MddE, mdd_b: MddE) -> JointMddE:
     """The joint MDD-E of two agents with only its root level in place;
@@ -439,30 +422,20 @@ def _ride_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra: _Trans, trb: _Trans, t: i
 # conflict classification and bypass extraction
 # ---------------------------------------------------------------------------
 
-def _violates_node(conflict, agent_id: int, mdd: MddE, comp: MddENode, t: int) -> bool:
-    """Does this component commit agent_id's side of the conflict?"""
-    kind = conflict.kind
+def _breaks(ban: tuple, mdd: MddE, comp: MddENode, tra: _Trans | None, t: int) -> bool:
+    """Does a side reaching component comp at level t by transition tra
+    (None at the root) break the `ConstraintSet` ban: stand on a banned
+    vertex, take a banned edge, or carry a ride boarded inside a banned
+    window? (A ride boards at the agent's start floor.)"""
+    kind = ban[0]
     if kind == "vertex":
-        return t == conflict.t and _vertex_at(comp, t) == conflict.v
-    if kind == "boarding":
-        want_ts = conflict.usage_i.t_s if agent_id == conflict.i else conflict.usage_j.t_s
-        return comp.elevator == conflict.elevator and comp.board_time == want_ts
-    if kind == "occupancy":
-        if agent_id == conflict.i:  # rider side: any boarding whose window covers the presence
-            if comp.elevator != conflict.elevator:
-                return False
-            lo, hi = busy_interval(mdd.ride(comp), conflict.vertex.floor)
-            return lo <= conflict.time <= hi
-        return t == conflict.time and _vertex_at(comp, t) == conflict.vertex
-    return False
-
-
-def _violates_edge(conflict, agent_id: int, tra: _Trans, t: int) -> bool:
-    if conflict.kind != "edge" or t != conflict.t:
-        return False
-    if agent_id == conflict.i:
-        return tra.u == conflict.u and tra.w == conflict.w
-    return tra.u == conflict.w and tra.w == conflict.u
+        _, v, lo, hi = ban
+        return lo <= t <= hi and _vertex_at(comp, t) == v
+    if kind == "edge":
+        _, u, w, t_ban = ban
+        return t == t_ban + 1 and tra.u == u and tra.w == w
+    _, k, floor, lo, hi = ban
+    return comp.elevator == k and lo <= comp.board_time <= hi and floor == mdd.agent.start_floor
 
 
 def _always_at(mdd: MddE, v: Vertex, t: int) -> bool:
@@ -481,28 +454,29 @@ def _always_at(mdd: MddE, v: Vertex, t: int) -> bool:
                    for m in mdd.edges.get(n, ()))
 
 
-def _unavoidable(mdd: MddE, conflict, agent_id: int) -> bool:
-    """Does every cost-d path of the agent's own MDD-E commit its side of
-    the conflict? Then no joint path avoids it either, and the joint search
-    for this side can be skipped. Vacuously true for an empty MDD-E."""
+def _unavoidable(mdd: MddE, ban: tuple) -> bool:
+    """Does every cost-d path of the agent's own MDD-E break the ban, its
+    side of the conflict? Then no joint path avoids it either, and the
+    joint search for this side can be skipped. Vacuously true for an empty
+    MDD-E. A side's vertex ban is one instant; for a wider one the answer
+    is a safe no."""
     if mdd.empty:
         return True
-    kind = conflict.kind
+    kind = ban[0]
     if kind == "vertex":
-        return _always_at(mdd, conflict.v, conflict.t)
+        _, v, lo, hi = ban
+        return lo == hi and _always_at(mdd, v, lo)
     if kind == "edge":
-        u, w = (conflict.u, conflict.w) if agent_id == conflict.i else (conflict.w, conflict.u)
-        return _always_at(mdd, u, conflict.t) and _always_at(mdd, w, conflict.t + 1)
-    if kind == "occupancy" and agent_id == conflict.j:
-        return _always_at(mdd, conflict.vertex, conflict.time)
-    # a boarding side, or the rider of an occupancy conflict, depends only on
-    # the ride, which every node after boarding carries up to the goal level
-    return all(_violates_node(conflict, agent_id, mdd, n, mdd.d) for n in mdd.levels[mdd.d])
+        _, u, w, t = ban
+        return _always_at(mdd, u, t) and _always_at(mdd, w, t + 1)
+    # a boarding ban depends only on the ride, which every node after
+    # boarding carries up to the goal level
+    return all(_breaks(ban, mdd, n, None, mdd.d) for n in mdd.levels[mdd.d])
 
 
-def _bypass_comps(joint: JointMddE, conflict, agent_id: int) -> list | None:
+def _bypass_comps(joint: JointMddE, agent_id: int, ban: tuple) -> list | None:
     """The agent's components along a complete conflict-free pair path that
-    avoids its own participation in the conflict, or None. The search is
+    keeps its side's ban, or None. The search is
     depth-first and takes each pair's successors in `JointMddE.successors`
     order, so the first path it completes is the first complete path in
     that order, the one a breadth-first search would return. A pair met
@@ -510,11 +484,11 @@ def _bypass_comps(joint: JointMddE, conflict, agent_id: int) -> list | None:
     only the pairs the search walks through are expanded."""
     side = 0 if joint.mdd_a.agent.id == agent_id else 1
     mdd = joint.mdd_a if side == 0 else joint.mdd_b
-    if not joint.levels or _unavoidable(mdd, conflict, agent_id):
+    if not joint.levels or _unavoidable(mdd, ban):
         return None
     joint.check_cap()
     root = joint.levels[0][0]
-    if _violates_node(conflict, agent_id, mdd, root[side], 0):
+    if _breaks(ban, mdd, root[side], None, 0):
         return None
     t_end = joint.t_end
     if t_end == 0:
@@ -528,9 +502,7 @@ def _bypass_comps(joint: JointMddE, conflict, agent_id: int) -> list | None:
             key = (t, succ)
             if key in seen:
                 continue
-            if _violates_edge(conflict, agent_id, tra if side == 0 else trb, t - 1):
-                continue
-            if _violates_node(conflict, agent_id, mdd, succ[side], t):
+            if _breaks(ban, mdd, succ[side], tra if side == 0 else trb, t):
                 continue
             if t == t_end:
                 return [pair[side] for pair in path] + [succ[side]]
@@ -557,16 +529,16 @@ def _comps_to_path(comps: list, mdd: MddE) -> Path:
 def classify(c, mdd_i: MddE | None, mdd_j: MddE | None, joint_cache: dict | None = None
              ) -> tuple[str, tuple[tuple[int, Path], ...] | None]:
     """Cardinality of a conflict on its two agents' MDD-Es (c.i's first),
-    with the bypasses that decide it. An agent's bypass is an equal-cost
-    path inside the joint MDD-E that avoids its side of the conflict;
-    `found` holds each (agent id, Path), lower id first, and the label is
-    cardinal, semi-cardinal or non-cardinal as it holds none, one or both.
-    A side that every path of the agent's own MDD-E commits has none, with
-    no joint search. A diagram over the node cap (None), or a joint that
-    crosses it, gives (CARDINAL, None), the safe choice. `joint_cache`
-    keeps joints by their two diagrams, the lower agent id's first, so a
-    joint's search order, and so any bypass, does not depend on which
-    conflict built it."""
+    with the bypasses that decide it. An agent's side is its ban in
+    `c.sides()`, and its bypass is an equal-cost path inside the joint
+    MDD-E that keeps that ban; `found` holds each (agent id, Path), lower
+    id first, and the label is cardinal, semi-cardinal or non-cardinal as
+    it holds none, one or both. A side whose ban every path of the agent's
+    own MDD-E breaks has none, with no joint search. A diagram over the
+    node cap (None), or a joint that crosses it, gives (CARDINAL, None),
+    the safe choice. `joint_cache` keeps joints by their two diagrams, the
+    lower agent id's first, so a joint's search order, and so any bypass,
+    does not depend on which conflict built it."""
     if mdd_i is None or mdd_j is None:
         return CARDINAL, None
     pair = (mdd_i, mdd_j) if c.i < c.j else (mdd_j, mdd_i)
@@ -576,8 +548,8 @@ def classify(c, mdd_i: MddE | None, mdd_j: MddE | None, joint_cache: dict | None
         joint = joints[pair] = build_joint(*pair)
     found = []
     try:
-        for agent_id, mdd in zip(sorted((c.i, c.j)), pair):
-            comps = _bypass_comps(joint, c, agent_id)
+        for (agent_id, ban), mdd in zip(sorted(c.sides()), pair):
+            comps = _bypass_comps(joint, agent_id, ban)
             if comps is not None:
                 found.append((agent_id, _comps_to_path(comps, mdd)))
     except MddSizeExceeded:

@@ -11,13 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-WAIT = "wait"
-MOVE = "move"
-BOARD = "board"
-
-_MOVES_4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
 class MapError(ValueError):
     """Raised for malformed or inconsistent map text."""
 
@@ -158,27 +151,6 @@ class Instance:
                     raise ScenarioError(f"agent {a.id}: {what} {v} is an elevator cell")
             if a.start_floor != a.goal_floor and not self.graph.elevators:
                 raise ScenarioError(f"agent {a.id}: needs a floor change but map has no elevator")
-
-
-def neighbors(graph: MultiFloorGraph, v: Vertex, rode_elevator: bool) -> list[tuple[Vertex, int, str]]:
-    """All legal single moves from v: wait, 4-neighbor steps, and, when v is
-    an elevator door and the agent has not ridden yet, one boarding
-    macro-move per other floor (cost |floor delta| * t_floor, landing on
-    that floor's door)."""
-    out: list[tuple[Vertex, int, str]] = [(v, 1, WAIT)]
-    grid = graph.grid(v.floor)
-    for dx, dy in _MOVES_4:
-        nx, ny = v.x + dx, v.y + dy
-        if grid.passable(nx, ny):
-            out.append((Vertex(v.floor, nx, ny), 1, MOVE))
-    if not rode_elevator:
-        e = graph.elevator_at(v)
-        if e is not None:
-            for target in range(1, graph.floors + 1):
-                if target != v.floor:
-                    cost = abs(target - v.floor) * e.t_floor
-                    out.append((Vertex(target, e.cell[0], e.cell[1]), cost, BOARD))
-    return out
 
 
 def ride_visits(graph: MultiFloorGraph, elevator: int, from_floor: int, to_floor: int,

@@ -54,40 +54,38 @@ class ConstraintSet:
     """One agent's constraints: vertex bans and boarding bans are closed
     time intervals (kept normalized), edge bans are exact departures.
 
-    Sets are never mutated: each `with_*` derives a child, and the parent
-    keeps its children keyed by the ban, so the same ban on the same set
-    gives the same object. Sibling CT subtrees that add one ban to one set
-    then share the child. A set hashes and compares by identity, so it is
-    its own key in the solver's plan memo and in `mdd.MddECache`, and those
-    memos hit across such subtrees; two sets with equal bans reached in
-    another order are two keys. `repr` leaves out `children`."""
+    A ban, as a conflict's `sides()` names it, is `("vertex", v, lo, hi)`,
+    `("edge", u, w, t)` (no move u->w departing at t) or `("boarding",
+    elevator, floor, lo, hi)`. Sets are never mutated: `with_ban` derives
+    a child, and the parent keeps its children keyed by the ban, so the
+    same ban on the same set gives the same object. Sibling CT subtrees
+    that add one ban to one set then share the child. A set hashes and
+    compares by identity, so it is its own key in the solver's plan memo
+    and in `mdd.MddECache`, and those memos hit across such subtrees; two
+    sets with equal bans reached in another order are two keys. `repr`
+    leaves out `children`."""
 
     vertex_bans: dict[Vertex, tuple[Interval, ...]] = field(default_factory=dict)
     edge_bans: frozenset[tuple[Vertex, Vertex, int]] = field(default_factory=frozenset)
     boarding_bans: dict[tuple[int, int], tuple[Interval, ...]] = field(default_factory=dict)
     children: dict[tuple, "ConstraintSet"] | None = field(default=None, init=False, repr=False)
 
-    def _derive(self, ban: tuple, make) -> "ConstraintSet":
+    def with_ban(self, ban: tuple) -> "ConstraintSet":
+        """This set plus one ban, derived once per (set, ban)."""
         children = self.children
         if children is None:
             children = self.children = {}
         child = children.get(ban)
         if child is None:
-            child = children[ban] = make()
+            vertex, edge, boarding = self.vertex_bans, self.edge_bans, self.boarding_bans
+            if ban[0] == "vertex":
+                vertex = _with_interval(vertex, *ban[1:])
+            elif ban[0] == "edge":
+                edge = edge | {ban[1:]}
+            else:
+                boarding = _with_interval(boarding, ban[1:3], *ban[3:])
+            child = children[ban] = ConstraintSet(vertex, edge, boarding)
         return child
-
-    def with_vertex_ban(self, v: Vertex, lo: int, hi: int) -> "ConstraintSet":
-        return self._derive(("vertex", v, lo, hi), lambda: ConstraintSet(
-            _with_interval(self.vertex_bans, v, lo, hi), self.edge_bans, self.boarding_bans))
-
-    def with_edge_ban(self, u: Vertex, w: Vertex, t: int) -> "ConstraintSet":
-        return self._derive(("edge", u, w, t), lambda: ConstraintSet(
-            self.vertex_bans, self.edge_bans | {(u, w, t)}, self.boarding_bans))
-
-    def with_boarding_ban(self, elevator: int, floor: int, lo: int, hi: int) -> "ConstraintSet":
-        return self._derive(("boarding", elevator, floor, lo, hi), lambda: ConstraintSet(
-            self.vertex_bans, self.edge_bans,
-            _with_interval(self.boarding_bans, (elevator, floor), lo, hi)))
 
     def vertex_banned(self, v: Vertex, t: int) -> bool:
         return interval_contains(self.vertex_bans.get(v, ()), t)

@@ -1,17 +1,46 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the package's search code paths: a time-expanded
-uniform-cost planner over explicit (vertex, time, rode) states, exhaustive
-enumeration of fixed-cost paths, and a replay-based elevator conflict
-scanner. They are slow and only run on small inputs.
+These deliberately avoid the package's search code paths: the grid's
+move rule (`neighbors`), a time-expanded uniform-cost planner over
+explicit (vertex, time, rode) states, exhaustive enumeration of
+fixed-cost paths, a pairwise timeline scan for vertex and edge conflicts,
+and a replay-based elevator conflict scanner. They are slow and only run
+on small inputs.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 
-from mapfe.model import Agent, MultiFloorGraph, Vertex, neighbors, ride_visits
+from mapfe.model import Agent, MultiFloorGraph, Vertex, ride_visits
 from mapfe.sipp import ConstraintSet
+
+WAIT = "wait"
+MOVE = "move"
+BOARD = "board"
+
+_MOVES_4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def neighbors(graph: MultiFloorGraph, v: Vertex, rode_elevator: bool) -> list[tuple[Vertex, int, str]]:
+    """All legal single moves from v: wait, 4-neighbor steps, and, when v is
+    an elevator door and the agent has not ridden yet, one boarding
+    macro-move per other floor (cost |floor delta| * t_floor, landing on
+    that floor's door)."""
+    out: list[tuple[Vertex, int, str]] = [(v, 1, WAIT)]
+    grid = graph.grid(v.floor)
+    for dx, dy in _MOVES_4:
+        nx, ny = v.x + dx, v.y + dy
+        if grid.passable(nx, ny):
+            out.append((Vertex(v.floor, nx, ny), 1, MOVE))
+    if not rode_elevator:
+        e = graph.elevator_at(v)
+        if e is not None:
+            for target in range(1, graph.floors + 1):
+                if target != v.floor:
+                    cost = abs(target - v.floor) * e.t_floor
+                    out.append((Vertex(target, e.cell[0], e.cell[1]), cost, BOARD))
+    return out
 
 
 def _goal_parking_ok(constraints: ConstraintSet, goal: Vertex, t: int) -> bool:
@@ -82,10 +111,15 @@ def _lower_bound(agent: Agent, graph: MultiFloorGraph, v: Vertex, rode: bool) ->
     return best
 
 
+class _TooMany(Exception):
+    """An enumeration found more paths than its limit."""
+
+
 def enumerate_cost_d_paths(agent: Agent, graph: MultiFloorGraph,
-                           constraints: ConstraintSet, d: int):
+                           constraints: ConstraintSet, d: int, limit: int | None = None):
     """Every constrained path of cost exactly d as a tuple of (vertex, time)
-    steps; the final step is a real arrival at the goal (no trailing wait)."""
+    steps; the final step is a real arrival at the goal (no trailing wait).
+    With `limit`, None as soon as more than `limit` paths are found."""
     if not _goal_parking_ok(constraints, agent.goal, d):
         return []
     out = []
@@ -94,6 +128,8 @@ def enumerate_cost_d_paths(agent: Agent, graph: MultiFloorGraph,
         if t == d:
             if v == agent.goal and (len(steps) < 2 or steps[-2][0] != v):
                 out.append(tuple(steps))
+                if limit is not None and len(out) > limit:
+                    raise _TooMany
             return
         for u, cost, kind in neighbors(graph, v, rode):
             t2 = t + cost
@@ -111,8 +147,11 @@ def enumerate_cost_d_paths(agent: Agent, graph: MultiFloorGraph,
                     continue
                 rec(u, t2, rode, steps + [(u, t2)])
 
-    if not constraints.vertex_banned(agent.start, 0):
-        rec(agent.start, 0, False, [(agent.start, 0)])
+    try:
+        if not constraints.vertex_banned(agent.start, 0):
+            rec(agent.start, 0, False, [(agent.start, 0)])
+    except _TooMany:
+        return None
     return out
 
 
@@ -305,16 +344,20 @@ def path_commits(conflict, agent_id: int, steps, graph: MultiFloorGraph) -> bool
     return t_s <= conflict.time <= t_g + reset
 
 
-def classify_by_enumeration(conflict, agents, graph: MultiFloorGraph, omegas, costs) -> str:
+def classify_by_enumeration(conflict, agents, graph: MultiFloorGraph, omegas, costs,
+                            limit: int | None = None) -> str | None:
     """Cardinality from every pair of cost-exact paths of the two agents:
     an agent has a bypass when some pair that stays conflict-free up to the
-    later arrival has that agent's path outside its side of the conflict."""
+    later arrival has that agent's path outside its side of the conflict.
+    None when an agent has more than `limit` such paths."""
     i, j = conflict.i, conflict.j
     t_end = max(costs[i], costs[j])
-    paths_i = [(p, path_commits(conflict, i, p, graph))
-               for p in enumerate_cost_d_paths(agents[i], graph, omegas[i], costs[i])]
-    paths_j = [(p, path_commits(conflict, j, p, graph))
-               for p in enumerate_cost_d_paths(agents[j], graph, omegas[j], costs[j])]
+    enumerated = [enumerate_cost_d_paths(agents[a], graph, omegas[a], costs[a], limit)
+                  for a in (i, j)]
+    if None in enumerated:
+        return None
+    paths_i = [(p, path_commits(conflict, i, p, graph)) for p in enumerated[0]]
+    paths_j = [(p, path_commits(conflict, j, p, graph)) for p in enumerated[1]]
     has_i = has_j = False
     for p_i, commits_i in paths_i:
         for p_j, commits_j in paths_j:
@@ -330,22 +373,22 @@ def classify_by_enumeration(conflict, agents, graph: MultiFloorGraph, omegas, co
     return "cardinal"
 
 
-def bypass_comps_breadth_first(joint, conflict, agent_id: int) -> list | None:
+def bypass_comps_breadth_first(joint, agent_id: int, ban: tuple) -> list | None:
     """The breadth-first bypass search over a `mdd.JointMddE`, kept as the
     reference for the solver's depth-first one: level by level, each pair
     reached first through the earliest pair of the level before, in
     `successors` order, and the first pair of the last level traced back.
-    It shares the joint product and the conflict-side tests with the
-    solver, and checks only the order of the search."""
+    It shares the joint product and the ban tests with the solver, and
+    checks only the order of the search."""
     from mapfe import mdd as mdd_mod
 
     side = 0 if joint.mdd_a.agent.id == agent_id else 1
     mdd = joint.mdd_a if side == 0 else joint.mdd_b
-    if not joint.levels or mdd_mod._unavoidable(mdd, conflict, agent_id):
+    if not joint.levels or mdd_mod._unavoidable(mdd, ban):
         return None
     joint.check_cap()
     root = joint.levels[0][0]
-    if mdd_mod._violates_node(conflict, agent_id, mdd, root[side], 0):
+    if mdd_mod._breaks(ban, mdd, root[side], None, 0):
         return None
     parent: dict[tuple[int, tuple], tuple | None] = {(0, root): None}
     frontier = [root]
@@ -356,9 +399,7 @@ def bypass_comps_breadth_first(joint, conflict, agent_id: int) -> list | None:
                 key = (t + 1, succ)
                 if key in parent:
                     continue
-                if mdd_mod._violates_edge(conflict, agent_id, tra if side == 0 else trb, t):
-                    continue
-                if mdd_mod._violates_node(conflict, agent_id, mdd, succ[side], t + 1):
+                if mdd_mod._breaks(ban, mdd, succ[side], tra if side == 0 else trb, t + 1):
                     continue
                 parent[key] = (t, pair)
                 nxt.append(succ)
@@ -449,3 +490,67 @@ def joint_vertex_pairs(joint, t: int, elevator_aware: bool) -> set:
         level = list(dict.fromkeys(succ for pair in level
                                    for succ, _, _ in joint_successors(joint, s, pair, elevator_aware)))
     return {(_vertex_at(a, t), _vertex_at(b, t)) for a, b in level}
+
+
+def joint_levels(joint) -> dict[int, list[tuple]]:
+    """Every level of a `mdd.JointMddE`'s product, expanded from its root
+    through the joint's own `successors`, each level sorted; the levels
+    after an empty one are absent (the joint is then incomplete)."""
+    levels = dict(joint.levels)
+    for t in range(joint.t_end):
+        if t not in levels:
+            break
+        nxt = {succ: None for pair in levels[t] for succ, _, _ in joint.successors(t, pair)}
+        if nxt:
+            levels[t + 1] = sorted(nxt)
+    return levels
+
+
+def joint_complete(joint) -> bool:
+    """Does some conflict-free pair path reach the joint's last level?"""
+    return bool(joint_levels(joint).get(joint.t_end))
+
+
+def level_vertex_pairs(joint, t: int) -> set:
+    """Where the two agents of a `mdd.JointMddE` stand at level t of the
+    joint's own product (`joint_levels`), where `joint_vertex_pairs`
+    expands the reference product instead."""
+    from mapfe.mdd import _vertex_at
+
+    return {(_vertex_at(a, t), _vertex_at(b, t)) for a, b in joint_levels(joint).get(t, ())}
+
+
+def _timeline(path, horizon: int) -> list:
+    """Vertex of a path at each time 0..horizon: None inside a shaft, the
+    goal from the arrival on."""
+    where = [None] * (horizon + 1)
+    for v, t in path.steps:
+        where[t] = v
+    for t in range(path.cost, horizon + 1):
+        where[t] = path.end
+    return where
+
+
+def grid_conflicts(paths) -> list[tuple]:
+    """The vertex and edge conflicts of a joint plan by a pairwise scan of
+    whole timelines, finished agents parked at their goals, sorted:
+    ("vertex", i, j, v, t) when agents i < j stand on v at t, and ("edge",
+    i, j, u, w, t) when i moves u->w while j moves w->u on one floor over
+    [t, t+1]."""
+    if len(paths) < 2:
+        return []
+    horizon = max(p.cost for p in paths)
+    where = [_timeline(p, horizon) for p in paths]
+    out = []
+    for i, j in itertools.combinations(range(len(paths)), 2):
+        at_i, at_j = where[i], where[j]
+        for t in range(horizon + 1):
+            vi, vj = at_i[t], at_j[t]
+            if vi == vj and vi is not None:
+                out.append(("vertex", i, j, vi, t))
+            elif t < horizon:
+                wi, wj = at_i[t + 1], at_j[t + 1]
+                if (vi == wj and wi == vj and vi is not None and wi is not None
+                        and vi != wi and vi.floor == wi.floor):
+                    out.append(("edge", i, j, vi, wi, t))
+    return sorted(out)

@@ -16,7 +16,7 @@ from mapfe.oracle import oracle_solve
 from mapfe.sipp import ConstraintSet, Path, plan
 
 from conftest import FLAT_3X3, THREE_FLOOR_STRIP, TWO_FLOOR_CORRIDOR
-from reference import joint_vertex_pairs, time_expanded_plan
+from reference import joint_complete, joint_vertex_pairs, level_vertex_pairs, time_expanded_plan
 from test_sipp import _random_case
 
 ALL_VARIANTS = {
@@ -78,7 +78,7 @@ def test_c2_busy_interval_split_is_disjunctive():
             continue
         tuples += 1
         c = ElevatorConflict("boarding", 0, 1, 0, max(u_a.t_s, u_b.t_s), u_a, u_b)
-        (_, _, (lo_i, hi_i)), (_, _, (lo_j, hi_j)) = ec_constraints(c)
+        (_, (*_, lo_i, hi_i)), (_, (*_, lo_j, hi_j)) = ec_constraints(c)
         span_a = u_a.t_o + abs(lga - lsb) * t_floor
         span_b = u_b.t_o + abs(lgb - lsa) * t_floor
         for x in range(lo_i, hi_i + 1):
@@ -102,7 +102,7 @@ def test_c3_range_split_resolves_in_one_branching():
     assert (conflict.usage_i.t_s, conflict.usage_j.t_s) == (1, 1)
     omega_i, omega_j = ec_constraints(conflict)
     door_cell = graph.elevators[0].cell
-    assert omega_i == (0, 1, (1, 3)) and omega_j == (0, 3, (1, 3))
+    assert omega_i == (0, ("boarding", 0, 1, 1, 3)) and omega_j == (1, ("boarding", 0, 3, 1, 3))
     assert graph.door(0, 1)[1:] == door_cell and graph.door(0, 3)[1:] == door_cell
 
     optimum = oracle_solve(inst).g
@@ -134,7 +134,7 @@ def test_c4_joint_diagram_sees_the_reset_window():
     pair = (Vertex(2, 2, 0), Vertex(1, 1, 0))
     aware = build_joint(mdd_rider, mdd_walker)
     assert pair in joint_vertex_pairs(aware, 3, elevator_aware=False)  # the plain product
-    assert pair not in aware.vertex_pairs(3)
+    assert pair not in level_vertex_pairs(aware, 3)
     print("\nPASS criterion 4: conflict reported at t=3; plain product admits "
           "the level-3 pairing, the ride-annotated product excludes it")
 
@@ -151,10 +151,10 @@ def test_c5_mdd_levels_and_joint_level():
     second = Agent(1, Vertex(1, 2, 1), Vertex(1, 1, 0))
     mdd_first = build_mdd_e(first, 3, ConstraintSet(), graph)
     mdd_second = build_mdd_e(
-        second, 2, ConstraintSet().with_vertex_ban(Vertex(1, 2, 0), 1, 1), graph)
+        second, 2, ConstraintSet().with_ban(("vertex", Vertex(1, 2, 0), 1, 1)), graph)
     joint = build_joint(mdd_first, mdd_second)
-    assert joint.vertex_pairs(1) == {(Vertex(1, 2, 2), Vertex(1, 1, 1))}
-    assert joint.complete
+    assert level_vertex_pairs(joint, 1) == {(Vertex(1, 2, 2), Vertex(1, 1, 1))}
+    assert joint_complete(joint)
     print("\nPASS criterion 5: cost-2 level t=1 is the two-route pair; joint "
           "level t=1 holds exactly one conflict-free pairing")
 

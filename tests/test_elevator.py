@@ -8,7 +8,6 @@ from mapfe.elevator import (
     busy_interval,
     detect_elevator_conflicts,
     ec_constraints,
-    occupancy_constraints,
     usages_overlap,
 )
 from mapfe.model import Vertex, parse_map, parse_scenario
@@ -56,8 +55,8 @@ def test_ec_constraints_worked_example():
     c = ElevatorConflict("boarding", 0, 1, 0, 1,
                          usage(0, 0, 1, 1, 2, 1), usage(1, 0, 1, 3, 2, 1))
     omega_i, omega_j = ec_constraints(c)
-    assert omega_i == (0, 1, (1, 3))
-    assert omega_j == (0, 3, (1, 3))
+    assert omega_i == (0, ("boarding", 0, 1, 1, 3))
+    assert omega_j == (1, ("boarding", 0, 3, 1, 3))
 
 
 def test_ec_constraints_asymmetric_windows():
@@ -65,8 +64,8 @@ def test_ec_constraints_asymmetric_windows():
     c = ElevatorConflict("boarding", 0, 1, 0, 6,
                          usage(0, 0, 2, 1, 2, 3), usage(1, 0, 6, 3, 2, 3))
     omega_i, omega_j = ec_constraints(c)
-    assert omega_i == (0, 1, (2, 12))  # [t_s^i, t_s^j + 3 + 3]
-    assert omega_j == (0, 3, (6, 8))   # [t_s^j, t_s^i + 3 + 3]
+    assert omega_i == (0, ("boarding", 0, 1, 2, 12))  # [t_s^i, t_s^j + 3 + 3]
+    assert omega_j == (1, ("boarding", 0, 3, 6, 8))   # [t_s^j, t_s^i + 3 + 3]
 
 
 def test_disjunctive_intervals_always_intersect():
@@ -83,7 +82,7 @@ def test_disjunctive_intervals_always_intersect():
             continue
         i, j = (u_a, u_b) if u_a.agent < u_b.agent else (u_b, u_a)
         c = ElevatorConflict("boarding", 0, 1, 0, max(u_a.t_s, u_b.t_s), u_a, u_b)
-        (_, _, (lo_i, hi_i)), (_, _, (lo_j, hi_j)) = ec_constraints(c)
+        (_, (*_, lo_i, hi_i)), (_, (*_, lo_j, hi_j)) = ec_constraints(c)
         t_r_a = abs(lga - lsb) * t_floor
         t_r_b = abs(lgb - lsa) * t_floor
         for x in range(lo_i, hi_i + 1):
@@ -96,16 +95,17 @@ def test_disjunctive_intervals_always_intersect():
 def test_occupancy_constraints():
     u = usage(0, 0, 1, 1, 2, 1)
     c = ElevatorConflict("occupancy", 0, 1, 0, 3, u, None, Vertex(1, 1, 0))
-    branch_a, branch_b = occupancy_constraints(c)
-    assert branch_a == (1, Vertex(1, 1, 0), 3)
-    assert branch_b == (0, 0, 1, (1, 3))
+    # the occupier's side first, off the door at that instant
+    branch_a, branch_b = c.sides()
+    assert branch_a == (1, ("vertex", Vertex(1, 1, 0), 3, 3))
+    assert branch_b == (0, ("boarding", 0, 1, 1, 3))
 
 
 def test_occupancy_interval_clamped_at_zero():
     u = usage(0, 0, 0, 1, 4, 1)
     c = ElevatorConflict("occupancy", 0, 1, 0, 1, u, None, Vertex(4, 1, 0))
-    _, branch_b = occupancy_constraints(c)
-    assert branch_b[3] == (0, 1)  # 1 - 3 - 0 clamps to 0
+    _, (_, ban) = c.sides()
+    assert ban[3:] == (0, 1)  # 1 - 3 - 0 clamps to 0
 
 
 def _corridor_paths(graph):
@@ -130,7 +130,7 @@ def test_boarding_after_window_is_legal(corridor2):
     # delay the second boarding to t_g + reset + 1 = 4: no conflict remains
     inst = parse_scenario("1 0 0 2 3 0\n1 4 0 2 0 0\n", corridor2)
     p0 = plan(inst.agents[0], corridor2, ConstraintSet())
-    cs = ConstraintSet().with_boarding_ban(0, 1, 0, 3)
+    cs = ConstraintSet().with_ban(("boarding", 0, 1, 0, 3))
     p1 = plan(inst.agents[1], corridor2, cs)
     assert p1.cost == 6
     assert detect_elevator_conflicts([p0, p1], corridor2) == []

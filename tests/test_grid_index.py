@@ -1,5 +1,6 @@
 """The per-solve grid index: neighbour tuples, shared distance fields, and
-the heuristics built on them, checked against `model.neighbors`.
+the heuristics built on them, checked against the reference move rule
+`reference.neighbors`.
 
 The benchmark families put one obstacle layout on every floor, where a
 field computed on the wrong floor would still be right; the maps here give
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 from mapfe import sipp
 from mapfe.cbs import SolverConfig, solve
-from mapfe.model import BOARD, MOVE, Agent, neighbors, parse_map, parse_scenario
+from mapfe.model import Agent, parse_map, parse_scenario
+
+from reference import BOARD, MOVE, neighbors
 
 INF = math.inf
 
@@ -50,7 +53,7 @@ def distinct_floor_instances(draw):
 
 def _reference_cost_to_go(agent: Agent, graph) -> dict:
     """Exact cost to the goal of every (vertex, rode) state, by Dijkstra
-    backwards over the moves `model.neighbors` generates (waits dropped)."""
+    backwards over the moves `reference.neighbors` generates (waits dropped)."""
     preds: dict = {}
     for v in graph.vertices():
         for rode in (False, True):

@@ -7,6 +7,7 @@ the nodes a solver that scans every child at once expands. The search
 counters pinned below were produced by the full-rescan solver, so any
 drift in the search itself shows here.
 """
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +20,10 @@ import mapfe
 from mapfe.bench import ExperimentConfig, gen_instance
 from mapfe.cbs import SolverConfig, VertexConflict, _Solver, enumerate_conflicts, solve, validate
 from mapfe.elevator import detect_elevator_conflicts
-from mapfe.model import Vertex, parse_map, parse_scenario
+from mapfe.model import Vertex, parse_map, parse_scenario, ride_visits
 from mapfe.sipp import Path as Plan
+
+from reference import BOARD, grid_conflicts, neighbors
 
 ALL_VARIANTS = [(False, False), (True, False), (False, True), (True, True)]
 
@@ -73,6 +76,47 @@ def test_incremental_conflicts_equal_a_full_scan(instance):
                                                   time_limit=0.25))
             if result.status == "solved":
                 assert validate(instance, list(result.solution.paths)) == []
+
+
+def _random_walk(rng: random.Random, graph, agent) -> Plan:
+    """A path of up to 12 random waits, moves and at most one ride from the
+    agent's start, ending anywhere: small maps make such walks share cells,
+    swap and run into each other's parked ends."""
+    v, t, rode = agent.start, 0, False
+    steps = [(v, t)]
+    for _ in range(rng.randint(0, 12)):
+        u, cost, kind = rng.choice(neighbors(graph, v, rode))
+        if kind == BOARD:
+            steps += ride_visits(graph, graph.elevator_at(v).id, v.floor, u.floor, t)
+            rode = True
+        else:
+            steps.append((u, t + cost))
+        v, t = u, t + cost
+    return Plan(tuple(steps))
+
+
+def _grid_tuples(conflicts) -> list[tuple]:
+    """A scan's vertex and edge conflicts in `reference.grid_conflicts` form."""
+    return sorted(("vertex", c.i, c.j, c.v, c.t) if c.kind == "vertex"
+                  else ("edge", c.i, c.j, c.u, c.w, c.t)
+                  for c in conflicts if c.kind in ("vertex", "edge"))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(multi_floor_instances(agents=(2, 5)), st.integers(0, 2**32 - 1))
+def test_grid_scans_equal_the_pairwise_timeline_reference(instance, seed):
+    """The vertex and edge conflicts of the full scan, and of each one-agent
+    scan, equal the pairwise timeline scan's (`reference.grid_conflicts`)
+    on random walks, each conflict listed once."""
+    rng = random.Random(seed)
+    graph = instance.graph
+    paths = [_random_walk(rng, graph, agent) for agent in instance.agents]
+    expected = grid_conflicts(paths)
+    assert _grid_tuples(enumerate_conflicts(paths, graph)) == expected
+    for k in range(len(paths)):
+        assert _grid_tuples(enumerate_conflicts(paths, graph, k)) == \
+            [c for c in expected if k in c[1:3]]
 
 
 class _Enough(Exception):

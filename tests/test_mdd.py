@@ -1,3 +1,4 @@
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -25,9 +26,12 @@ from reference import (
     bypass_comps_breadth_first,
     classify_by_enumeration,
     enumerate_cost_d_paths,
+    joint_complete,
+    joint_levels,
     joint_levels_by_enumeration,
     joint_successors,
     joint_vertex_pairs,
+    level_vertex_pairs,
     mdd_path_set,
     path_commits,
 )
@@ -59,12 +63,12 @@ def test_joint_keeps_only_the_clash_free_pair(flat3):
     ax = Agent(0, Vertex(1, 1, 2), Vertex(1, 2, 0))
     ay = Agent(1, Vertex(1, 2, 1), Vertex(1, 1, 0))
     mx = build_mdd_e(ax, 3, ConstraintSet(), flat3)
-    my = build_mdd_e(ay, 2, ConstraintSet().with_vertex_ban(Vertex(1, 2, 0), 1, 1), flat3)
+    my = build_mdd_e(ay, 2, ConstraintSet().with_ban(("vertex", Vertex(1, 2, 0), 1, 1)), flat3)
     assert _vset(mx, 1) == {Vertex(1, 2, 2), Vertex(1, 1, 1)}
     assert _vset(my, 1) == {Vertex(1, 1, 1)}
     joint = build_joint(mx, my)
-    assert joint.vertex_pairs(1) == {(Vertex(1, 2, 2), Vertex(1, 1, 1))}
-    assert joint.complete
+    assert level_vertex_pairs(joint, 1) == {(Vertex(1, 2, 2), Vertex(1, 1, 1))}
+    assert joint_complete(joint)
 
 
 def test_ride_annotation_node(corridor2):
@@ -83,7 +87,7 @@ def test_reset_window_pair_excluded_only_with_ride_info(corridor2):
     pair = (Vertex(2, 2, 0), Vertex(1, 1, 0))
     aware = build_joint(mi, mj)
     assert pair in joint_vertex_pairs(aware, 3, elevator_aware=False)  # the plain product
-    assert pair not in aware.vertex_pairs(3)
+    assert pair not in level_vertex_pairs(aware, 3)
 
 
 def test_empty_below_optimal_cost(flat3):
@@ -111,7 +115,7 @@ def test_paths_match_enumeration_on_random_cases():
         cs = ConstraintSet()
         for _ in range(rng.randint(0, 3)):
             lo = rng.randint(1, 6)
-            cs = cs.with_vertex_ban(rng.choice(free), lo, lo + rng.randint(0, 2))
+            cs = cs.with_ban(("vertex", rng.choice(free), lo, lo + rng.randint(0, 2)))
         base = plan(agent, g, cs)
         if base is None:
             continue
@@ -142,13 +146,13 @@ def test_joint_levels_match_pairwise_enumeration(corridor2, flat3):
         joint = build_joint(mi, mj)
         expected = joint_levels_by_enumeration(ai, aj, g, cs, cs, d_i, d_j)
         got = {}
-        for t, pairs in joint.all_levels().items():
+        for t, pairs in joint_levels(joint).items():
             for ca, cb in pairs:
                 got.setdefault(t, set()).add((_as_state(ca, t), _as_state(cb, t)))
         assert got == expected, (line_i, line_j, d_i, d_j)
     # the last case is complete and passes through in-shaft components
-    assert joint.complete and len(joint.all_levels()) == 9
-    assert sum(c.time > t for t, pairs in joint.all_levels().items()
+    assert joint_complete(joint) and len(joint_levels(joint)) == 9
+    assert sum(c.time > t for t, pairs in joint_levels(joint).items()
                for pair in pairs for c in pair) == 4
 
 
@@ -166,7 +170,7 @@ def test_padding_parks_the_finished_agent():
     m_mover = build_mdd_e(mover, 3, ConstraintSet(), g)
     joint = build_joint(m_short, m_mover)
     # the mover's only cost-3 route crosses the parked goal at t=2
-    assert not joint.complete
+    assert not joint_complete(joint)
 
 
 def _ct(paths, omegas):
@@ -178,6 +182,11 @@ def _diagrams(node, c, graph, agents, mdds=None):
     a fresh `MddECache`; None for one over the node cap."""
     mdds = MddECache(graph, agents) if mdds is None else mdds
     return tuple(mdds.get(k, node.paths[k].cost, node.omegas[k]) for k in (c.i, c.j))
+
+
+def _ban(c, agent_id):
+    """The agent's side of the conflict, the ban in `c.sides()`."""
+    return dict(c.sides())[agent_id]
 
 
 def _cross_case(flat3):
@@ -291,7 +300,7 @@ def test_joint_over_its_cap_is_cardinal_without_bypass(monkeypatch):
     label, found = classify(c, *_diagrams(node, c, g, agents), joints)
     (joint,) = joints.values()
     assert label == SEMI_CARDINAL and [a for a, _ in found] == [1] and joint.pairs > cap
-    assert not mdd_mod._unavoidable(joint.mdd_a, c, 0)
+    assert not mdd_mod._unavoidable(joint.mdd_a, _ban(c, 0))
     monkeypatch.setattr(mdd_mod, "NODE_CAP", cap)
     mdds = [build_mdd_e(a, p.cost, ConstraintSet(), g) for a, p in zip(agents, node.paths)]
     assert [sum(map(len, m.levels.values())) for m in mdds] == [15, 12]
@@ -308,45 +317,110 @@ def test_unavoidable_side_sees_a_ride_spanning_the_level():
     mdd = build_mdd_e(a, 7, ConstraintSet(), g)
     assert _vset(mdd, 2) == {Vertex(1, 3, 0)}
     c = VertexConflict(0, 1, Vertex(1, 3, 0), 2)
-    assert not mdd_mod._unavoidable(mdd, c, 0)
+    assert not mdd_mod._unavoidable(mdd, _ban(c, 0))
     paths = enumerate_cost_d_paths(a, g, ConstraintSet(), 7)
     assert any(not path_commits(c, 0, p, g) for p in paths)
     at_goal = VertexConflict(0, 1, Vertex(2, 3, 0), 7)
-    assert mdd_mod._unavoidable(mdd, at_goal, 0)
+    assert mdd_mod._unavoidable(mdd, _ban(at_goal, 0))
 
 
-@settings(max_examples=25, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(multi_floor_instances())
-def test_classify_matches_enumeration(instance):
+# Enumeration budget of `test_classify_matches_enumeration`: a conflict is
+# checked only when both agents' costs and path counts are within it, since
+# enumerating all paths grows exponentially with the cost.
+ENUM_COST_CAP = 14
+ENUM_PATH_CAP = 500
+ENUM_MIN_CHECKED = 100  # about 200 are checked; generation may vary across Hypothesis versions
+
+
+def test_classify_matches_enumeration():
     """Every label the solver computes equals the one from enumerating all
     path pairs, and every side the single-MDD-E test calls unavoidable is
-    committed by every cost-exact path of that agent."""
-    graph, agents = instance.graph, instance.agents
-    real, find = mdd_mod.classify, _Solver._find_conflict
-    nodes = []  # the node whose conflicts are being classified, last
+    committed by every cost-exact path of that agent. Conflicts over the
+    enumeration budget are counted and skipped; enough labels must remain."""
+    counts = {"checked": 0, "skipped": 0, "unavoidable": 0}
 
-    def finding(self, node):
-        nodes.append(node)
-        return find(self, node)
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(multi_floor_instances())
+    def check(instance):
+        graph, agents = instance.graph, instance.agents
+        real, find = mdd_mod.classify, _Solver._find_conflict
+        nodes = []  # the node whose conflicts are being classified, last
 
-    def checked(c, *args, **kwargs):
-        label, found = real(c, *args, **kwargs)
-        node = nodes[-1]
-        costs = [p.cost for p in node.paths]
-        assert label == classify_by_enumeration(c, agents, graph, node.omegas, costs), c
-        for a in (c.i, c.j):
-            own = build_mdd_e(agents[a], costs[a], node.omegas[a], graph)
-            if mdd_mod._unavoidable(own, c, a):
-                paths = enumerate_cost_d_paths(agents[a], graph, node.omegas[a], costs[a])
-                assert all(path_commits(c, a, p, graph) for p in paths), (c, a)
-        return label, found
+        def finding(self, node):
+            nodes.append(node)
+            return find(self, node)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mdd_mod, "classify", checked)
-        mp.setattr(_Solver, "_find_conflict", finding)
-        for ec in (False, True):
-            solve(instance, SolverConfig(ec_enabled=ec, mdde_enabled=True, time_limit=0.25))
+        def checked(c, *args, **kwargs):
+            label, found = real(c, *args, **kwargs)
+            node = nodes[-1]
+            costs = [p.cost for p in node.paths]
+            expected = None
+            if max(costs[c.i], costs[c.j]) <= ENUM_COST_CAP:
+                expected = classify_by_enumeration(c, agents, graph, node.omegas, costs,
+                                                   ENUM_PATH_CAP)
+            if expected is None:
+                counts["skipped"] += 1
+                return label, found
+            assert label == expected, c
+            counts["checked"] += 1
+            for a, ban in c.sides():
+                own = build_mdd_e(agents[a], costs[a], node.omegas[a], graph)
+                if mdd_mod._unavoidable(own, ban):
+                    paths = enumerate_cost_d_paths(agents[a], graph, node.omegas[a], costs[a])
+                    assert all(path_commits(c, a, p, graph) for p in paths), (c, a)
+                    counts["unavoidable"] += 1
+            return label, found
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mdd_mod, "classify", checked)
+            mp.setattr(_Solver, "_find_conflict", finding)
+            for ec in (False, True):
+                solve(instance, SolverConfig(ec_enabled=ec, mdde_enabled=True, time_limit=0.25))
+
+    check()
+    print(f"\nenumeration: {counts}")
+    assert counts["checked"] >= ENUM_MIN_CHECKED, counts
+
+
+def test_each_side_bans_exactly_the_paths_that_commit_it():
+    """For every side of every conflict of the root and of the root's
+    children, the agent's paths of its cost, and of one more (which leaves
+    room to wait), under its constraint set plus the side's ban are exactly
+    its paths of that cost under the set that `reference.path_commits` says
+    stay out of that side. Agents over the enumeration budget are skipped;
+    sides of all four kinds must remain."""
+    checked: dict[str, int] = {}
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(multi_floor_instances(agents=(3, 5)))
+    def check(instance):
+        graph, agents = instance.graph, instance.agents
+        solver = _Solver(instance, SolverConfig(ec_enabled=True, mdde_enabled=True))
+        root = solver._make_root()
+        if root is None:
+            return
+        nodes = [root] + [child for c in root.conflicts for child in solver._branch(root, c)]
+        for node in nodes:
+            solver._scan(node)  # a child is generated unscanned
+            for c in node.conflicts:
+                for (a, ban), d in itertools.product(c.sides(), (0, 1)):
+                    omega, d = node.omegas[a], node.paths[a].cost + d
+                    if d > ENUM_COST_CAP:
+                        continue
+                    paths = enumerate_cost_d_paths(agents[a], graph, omega, d, ENUM_PATH_CAP)
+                    if paths is None:
+                        continue
+                    kept = enumerate_cost_d_paths(agents[a], graph, omega.with_ban(ban), d)
+                    assert len(kept) == len(set(kept))
+                    assert set(kept) == {p for p in paths if not path_commits(c, a, p, graph)}, \
+                        (c, a, ban, d)
+                    checked[c.kind] = checked.get(c.kind, 0) + 1
+
+    check()
+    print(f"\nsides checked: {checked}")
+    assert sorted(checked) == ["boarding", "edge", "occupancy", "vertex"], checked
 
 
 @settings(max_examples=200, deadline=None, derandomize=True,
@@ -366,12 +440,12 @@ def test_depth_first_bypass_equals_the_breadth_first_reference(instance):
     for node in nodes:
         solver._scan(node)  # a child is generated unscanned
         for c in node.conflicts:
-            for agent_id in (c.i, c.j):
+            for agent_id, ban in c.sides():
                 mdd_i, mdd_j = _diagrams(node, c, graph, agents, solver.mdds)
                 pair = (mdd_i, mdd_j) if c.i < c.j else (mdd_j, mdd_i)
                 depth, breadth = (build_joint(*pair) for _ in range(2))
-                comps = mdd_mod._bypass_comps(depth, c, agent_id)
-                assert comps == bypass_comps_breadth_first(breadth, c, agent_id), (c, agent_id)
+                comps = mdd_mod._bypass_comps(depth, agent_id, ban)
+                assert comps == bypass_comps_breadth_first(breadth, agent_id, ban), (c, agent_id)
                 assert depth.pairs <= breadth.pairs
 
 
@@ -388,16 +462,16 @@ def _banned_sets(rng, graph, agent, count):
         if kind == "vertex":
             v = rng.choice(cells)
             if v != agent.start:
-                sets.append(cs.with_vertex_ban(v, lo, lo + rng.randint(0, 2)))
+                sets.append(cs.with_ban(("vertex", v, lo, lo + rng.randint(0, 2))))
         elif kind == "edge":
             v = rng.choice(cells)
             moves = [u for u in cells if u.floor == v.floor and abs(u.x - v.x) + abs(u.y - v.y) == 1]
             if moves:
-                sets.append(cs.with_edge_ban(v, rng.choice(moves), lo))
+                sets.append(cs.with_ban(("edge", v, rng.choice(moves), lo)))
         else:
             e = rng.choice(graph.elevators)
-            sets.append(cs.with_boarding_ban(e.id, rng.randint(1, graph.floors), lo,
-                                             lo + rng.randint(0, 3)))
+            sets.append(cs.with_ban(("boarding", e.id, rng.randint(1, graph.floors), lo,
+                                     lo + rng.randint(0, 3))))
     return sets
 
 
@@ -444,7 +518,7 @@ def test_joint_successors_equal_the_reference_product_filter(instance, seed):
                                     rng.choice(_banned_sets(rng, graph, x, 3)), graph)
                         for x in (a, b))
         joint = build_joint(mdd_a, mdd_b)
-        for t, pairs in joint.all_levels().items():
+        for t, pairs in joint_levels(joint).items():
             if t == joint.t_end:
                 continue
             for pair in pairs:

@@ -6,7 +6,6 @@ from mapfe.model import (
     MapError,
     ScenarioError,
     Vertex,
-    neighbors,
     parse_map,
     parse_scenario,
     serialize_map,
@@ -14,6 +13,7 @@ from mapfe.model import (
 )
 
 from conftest import FLAT_3X3, THREE_FLOOR_STRIP, TWO_FLOOR_T3
+from reference import neighbors
 
 
 def test_smallest_map():

@@ -22,9 +22,9 @@ def test_merge_intervals_adjacent_and_overlapping():
 def test_safe_intervals():
     v = Vertex(1, 0, 0)
     assert safe_intervals(v, ConstraintSet()) == [(0, INF)]
-    cs = ConstraintSet().with_vertex_ban(v, 1, 3)
+    cs = ConstraintSet().with_ban(("vertex", v, 1, 3))
     assert safe_intervals(v, cs) == [(0, 0), (4, INF)]
-    cs = ConstraintSet().with_vertex_ban(v, 2, 4).with_vertex_ban(v, 5, 6)
+    cs = ConstraintSet().with_ban(("vertex", v, 2, 4)).with_ban(("vertex", v, 5, 6))
     assert safe_intervals(v, cs) == [(0, 1), (7, INF)]
 
 
@@ -43,7 +43,7 @@ def test_cross_floor_cost_matches_reference(corridor2_t3):
 
 def test_boarding_ban_delays_the_ride(corridor2_t3):
     a = parse_scenario("1 0 0 2 2 0\n", corridor2_t3).agents[0]
-    cs = ConstraintSet().with_boarding_ban(0, 1, 1, 3)
+    cs = ConstraintSet().with_ban(("boarding", 0, 1, 1, 3))
     path = plan(a, corridor2_t3, cs)
     assert path.cost == 8
     assert path.cost == time_expanded_plan(a, corridor2_t3, cs, horizon=30)
@@ -54,7 +54,7 @@ def test_boarding_ban_delays_the_ride(corridor2_t3):
 
 def test_goal_ban_forces_late_arrival(flat3):
     a = parse_scenario("1 0 0 1 2 0\n", flat3).agents[0]
-    cs = ConstraintSet().with_vertex_ban(Vertex(1, 2, 0), 5, 5)
+    cs = ConstraintSet().with_ban(("vertex", Vertex(1, 2, 0), 5, 5))
     path = plan(a, flat3, cs)
     assert path.cost == time_expanded_plan(a, flat3, cs, horizon=30) == 6
     assert path.steps[-1] == (Vertex(1, 2, 0), 6)
@@ -99,15 +99,15 @@ def _random_case(rng):
     for _ in range(rng.randint(0, 6)):
         v = rng.choice(free + doors)
         lo = rng.randint(1, 10)
-        cs = cs.with_vertex_ban(v, lo, lo + rng.randint(0, 3))
+        cs = cs.with_ban(("vertex", v, lo, lo + rng.randint(0, 3)))
     for _ in range(rng.randint(0, 3)):
         v = rng.choice(free)
         moves = [u for u in free if u.floor == v.floor and abs(u.x - v.x) + abs(u.y - v.y) == 1]
         if moves:
-            cs = cs.with_edge_ban(v, rng.choice(moves), rng.randint(0, 8))
+            cs = cs.with_ban(("edge", v, rng.choice(moves), rng.randint(0, 8)))
     if g.elevators and rng.random() < 0.7:
         lo = rng.randint(0, 6)
-        cs = cs.with_boarding_ban(0, rng.randint(1, floors), lo, lo + rng.randint(0, 5))
+        cs = cs.with_ban(("boarding", 0, rng.randint(1, floors), lo, lo + rng.randint(0, 5)))
     return agent, g, cs
 
 
@@ -190,7 +190,7 @@ def test_added_constraint_never_reduces_cost():
 
 def test_waits_pool_at_the_start_when_legal(corridor2_t3):
     a = parse_scenario("1 0 0 2 2 0\n", corridor2_t3).agents[0]
-    cs = ConstraintSet().with_boarding_ban(0, 1, 1, 3)
+    cs = ConstraintSet().with_ban(("boarding", 0, 1, 1, 3))
     path = plan(a, corridor2_t3, cs)
     # waits happen at the start cell, not at the elevator door
     door_times = [t for v, t in path.steps if v == Vertex(1, 1, 0)]
@@ -233,11 +233,9 @@ def ban_sequences(draw):
 
 def _apply(cs: ConstraintSet, bans) -> list[ConstraintSet]:
     """Every set along the derivation of bans from cs, cs first."""
-    derive = {"vertex": ConstraintSet.with_vertex_ban, "edge": ConstraintSet.with_edge_ban,
-              "boarding": ConstraintSet.with_boarding_ban}
     chain = [cs]
-    for kind, *args in bans:
-        chain.append(derive[kind](chain[-1], *args))
+    for ban in bans:
+        chain.append(chain[-1].with_ban(ban))
     return chain
 
 
