@@ -5,6 +5,14 @@ creation order). A node branches into one child per side of a conflict,
 an (agent, `ConstraintSet` ban) pair (`sides()`, which `mdd.classify`
 tests too); elevator constraints widen a boarding conflict's sides to the
 paired busy intervals (`elevator.ec_constraints`), one split per conflict.
+With elevator constraints on, selection passes over a door vertex conflict
+that a boarding conflict dominates (`_dominated`): two agents that board
+elevator k from its door at the same instant meet there, and branching on
+the boarding conflict bans both boardings over the whole busy window,
+where the vertex split bans one instant. A plain boarding split bans one
+instant too and does not dominate, so with elevator constraints off the
+rule does not apply. A passed-over conflict still counts in the node's
+conflict count, and it is never classified.
 
 Work that cannot change between CT nodes is done once per solve: the grid
 index (`sipp.GridIndex`: neighbour tuples and BFS distance fields, each
@@ -115,6 +123,16 @@ def _conflict_key(c: Conflict) -> tuple:
     return (c.time, _KIND_RANK[c.kind], c.i, c.j) + extra
 
 
+def _dominated(conflicts: list[Conflict], graph: MultiFloorGraph) -> set[VertexConflict]:
+    """The door vertex conflicts that a boarding conflict of the same pair
+    dominates: both agents board elevator k from floor l at the same
+    instant t, so they meet at k's door on l at t."""
+    return {VertexConflict(c.i, c.j, graph.door(c.elevator, c.usage_i.l_s), c.time)
+            for c in conflicts
+            if c.kind == "boarding" and c.usage_i.t_s == c.usage_j.t_s
+            and c.usage_i.l_s == c.usage_j.l_s}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     ec_enabled: bool = True
@@ -147,6 +165,8 @@ class SolveStats:
     mdd_shared: int = 0  # builds whose diagram equals an earlier one of the solve
     mdd_reuses: int = 0  # MDD-E requests the solve's memo answered
     distance_fields: int = 0  # grid BFS fields the solve computed
+    door_skips: int = 0  # door vertex conflicts selection passed over (`_dominated`)
+    lower_bound: int | None = None  # the least open g when the time limit ends a solve
 
 
 @dataclass
@@ -333,6 +353,7 @@ class _Solver:
         self.stats.peak_open = 1
         while heap:
             if time.perf_counter() - self.t0 > self.config.time_limit:
+                self.stats.lower_bound = heap[0][0]
                 return self._finish("timeout", None)
             _, count, _, node = heapq.heappop(heap)
             if node.replanned is not None:
@@ -451,15 +472,24 @@ class _Solver:
         """(conflict, bypass, label) for the conflict to resolve next:
         earliest overall, or with MDD-E enabled the earliest cardinal, else
         semi-cardinal, else non-cardinal conflict, with its lower agent id's
-        bypass, if any. Each conflict is classified once per solve."""
-        if not node.conflicts:
+        bypass, if any. With elevator constraints on, door vertex conflicts
+        that a boarding conflict dominates (`_dominated`) are passed over;
+        they still count in the node's conflict count. Each conflict is
+        classified once per solve."""
+        conflicts = node.conflicts
+        if not conflicts:
             return None, None, None
+        if self.config.ec_enabled:
+            dominated = _dominated(conflicts, self.graph)
+            if dominated:
+                conflicts = [c for c in conflicts if c not in dominated]
+                self.stats.door_skips += len(node.conflicts) - len(conflicts)
         if not self.config.mdde_enabled:
-            return node.conflicts[0], None, None
+            return conflicts[0], None, None
         t_start = time.perf_counter()
         joint_cache: dict = {}
         best = None  # (class_rank, conflict, bypass)
-        for c in node.conflicts:
+        for c in conflicts:
             mdd_i, mdd_j = self._diagrams(node, c)
             key = (mdd_i, mdd_j, *_conflict_key(c))
             entry = self.labels.get(key)

@@ -147,6 +147,7 @@ def _cmd_solve(args) -> int:
     result = solve(instance, config)
     if result.status == "timeout":
         print("timeout")
+        print(f"lower_bound {result.stats.lower_bound}")
         return EXIT_TIMEOUT
     if result.status == "infeasible":
         print("infeasible")
@@ -163,7 +164,7 @@ def _cmd_solve(args) -> int:
           f"plan_time_ms={stats.plan_time * 1000.0:.3f} "
           f"mdde_time_fraction={stats.mdde_time_fraction:.4f} "
           f"classify_calls={stats.classify_calls} label_hits={stats.label_hits} "
-          f"joint_pairs={stats.joint_pairs} "
+          f"joint_pairs={stats.joint_pairs} door_skips={stats.door_skips} "
           f"plans={stats.plans} plan_reuses={stats.plan_reuses} "
           f"mdd_builds={stats.mdd_builds} mdd_shared={stats.mdd_shared} "
           f"mdd_reuses={stats.mdd_reuses} "

@@ -1,7 +1,9 @@
 import io
+from pathlib import Path
 
 import pytest
 
+from mapfe import bench as bench_mod
 from mapfe.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -13,6 +15,7 @@ from mapfe.bench import (
     summarize,
     write_csv,
 )
+from mapfe.cbs import SolveResult, SolveStats
 
 CONFIG_TEXT = """
 # tiny sweep over agent counts
@@ -64,6 +67,30 @@ def test_axis_can_be_floors_or_tfloor():
     assert cfg.axis == "floors"
     cfg = parse_config("agents = 4\ntfloor = 1,5\n")
     assert cfg.axis == "tfloor"
+
+
+def test_frontier_config_runs_c7_seeds_for_each_agent_count(monkeypatch):
+    """configs/c7-frontier.cfg asks for seeds 777000-777009 at each N of
+    12, 14 and 16 on the C7 maps, under the full solver at 10 s; the
+    generator and the solver are stubbed, so nothing is solved."""
+    text = (Path(__file__).resolve().parent.parent / "configs" / "c7-frontier.cfg").read_text()
+    cfg = parse_config(text)
+    assert (cfg.size, cfg.obstacle_rate, cfg.floors, cfg.elevators, cfg.tfloor) == (8, 0.1, 2, 3, 3)
+    assert (cfg.variants, cfg.time_limit) == (["cbs+ec+mdde"], 10.0)
+    calls = []
+
+    def generate(cfg, n_agents, seed, floors=None, tfloor=None):
+        calls.append((n_agents, seed, floors, tfloor))
+
+    def unsolved(instance, config):
+        calls.append((config.ec_enabled, config.mdde_enabled, config.time_limit))
+        return SolveResult("timeout", None, SolveStats())
+
+    monkeypatch.setattr(bench_mod, "gen_instance", generate)
+    monkeypatch.setattr(bench_mod, "solve", unsolved)
+    run_suite(cfg)
+    assert calls == [call for n in (12, 14, 16) for seed in range(777_000, 777_010)
+                     for call in ((n, seed, 2, 3), (True, True, 10.0))]
 
 
 def test_gen_instance_is_seed_deterministic():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from mapfe.bench import ExperimentConfig, gen_instance
 from mapfe.cbs import (
@@ -85,6 +87,76 @@ def test_single_vertex_conflict_is_chosen_under_any_config(flat3):
         root = solver._make_root()
         chosen, _, _ = solver._find_conflict(root)
         assert chosen == VertexConflict(0, 1, Vertex(1, 1, 1), 1)
+
+
+def test_door_vertex_conflict_gives_way_to_the_boarding_conflict_with_ec(strip3):
+    # both agents step onto the floor-2 door at t=1 and board there at t=1,
+    # one riding down and one up: a vertex conflict at the door and a
+    # boarding conflict of the same pair, at the same instant
+    inst = parse_scenario("2 0 0 1 0 0\n2 2 0 3 2 0\n", strip3)
+    door = Vertex(2, 1, 0)
+    for ec, mdde in ALL_VARIANTS:
+        solver = _Solver(inst, SolverConfig(ec_enabled=ec, mdde_enabled=mdde, time_limit=10))
+        root = solver._make_root()
+        assert [c.kind for c in root.conflicts] == ["vertex", "boarding"]
+        assert root.conflicts[0] == VertexConflict(0, 1, door, 1)
+        chosen, _, _ = solver._find_conflict(root)
+        # the range split bans both boardings over the busy window; a plain
+        # boarding split bans one instant, so without ec the vertex stays first
+        assert chosen.kind == ("boarding" if ec else "vertex"), (ec, mdde)
+        assert solver.stats.door_skips == int(ec)
+        assert root.conflict_count == 2
+
+
+@st.composite
+def door_crowds(draw):
+    """2-3 floors of a small grid with one elevator; 2-3 agents start next
+    to its door, each on a floor drawn from the first two, and have goals
+    on other floors, so pairs often board from one door at one instant."""
+    floors = draw(st.integers(2, 3))
+    width, height = draw(st.integers(3, 4)), draw(st.integers(1, 2))
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    door = draw(st.sampled_from(cells))
+    near = [(x, y) for x, y in cells if abs(x - door[0]) + abs(y - door[1]) == 1]
+    rows = ["".join("E" if (x, y) == door else "." for x in range(width)) for y in range(height)]
+    header = ["type mapf-e", f"floors {floors}", f"height {height}", f"width {width}",
+              f"tfloor {draw(st.integers(1, 2))}"]
+    graph = parse_map("\n".join(header + rows * floors) + "\n")
+    starts = draw(st.lists(st.sampled_from([(f, x, y) for f in (1, 2) for x, y in near]),
+                           min_size=2, max_size=3, unique=True))
+    spots = [(f, x, y) for f in range(1, floors + 1) for x, y in cells if (x, y) != door]
+    goals = draw(st.lists(st.sampled_from(spots), min_size=len(starts),
+                          max_size=len(starts), unique=True))
+    assume(all(s[0] != g[0] for s, g in zip(starts, goals)))
+    return parse_scenario("".join(f"{s[0]} {s[1]} {s[2]} {g[0]} {g[1]} {g[2]}\n"
+                                  for s, g in zip(starts, goals)), graph)
+
+
+def test_door_skips_keep_the_optimum_of_the_oracle():
+    # crowds at one door: every variant's g equals the oracle's, and with
+    # ec on some solves pass over dominated door vertex conflicts
+    skips = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(door_crowds())
+    def sweep(inst):
+        expected = oracle_solve(inst)
+        assume(expected.status == "solved")  # a corridor may deadlock
+        for ec, mdde in ALL_VARIANTS:
+            got = _solve(inst, ec, mdde, limit=20)
+            assert got.status == "solved", (ec, mdde)
+            assert got.solution.g == expected.g, (ec, mdde)
+            assert validate(inst, list(got.solution.paths)) == []
+            if ec:
+                skips.append(got.stats.door_skips)
+            else:
+                assert got.stats.door_skips == 0
+
+    sweep()
+    skipping = sum(1 for k in skips if k > 0)
+    print(f"\nec solves that passed over door conflicts: {skipping} of {len(skips)}")
+    assert skipping >= 5, skips
 
 
 CROSS_MAP = """type mapf-e
@@ -214,6 +286,7 @@ def test_timeout_is_reported():
     result = solve(inst, SolverConfig(time_limit=0.2))
     assert result.status == "timeout"
     assert result.solution is None and result.stats.solved is False
+    assert result.stats.lower_bound >= 2  # the root's cost; the swap never resolves
 
 
 def test_time_limit_must_be_a_positive_number():

@@ -209,7 +209,11 @@ def test_timeout_exit_code(tmp_path, capsys):
     code = main(["solve", "--map", str(map_path), "--scen", str(scen_path),
                  "--time-limit", "0.2"])
     assert code == 2
-    assert capsys.readouterr().out.strip() == "timeout"
+    # the swap has no solution, and its tree's least open g is at least
+    # the root's 2
+    timeout, bound = capsys.readouterr().out.splitlines()
+    assert timeout == "timeout"
+    assert bound.startswith("lower_bound ") and int(bound.split()[1]) >= 2
 
 
 def test_infeasible_exit_code(tmp_path, capsys):

@@ -230,16 +230,18 @@ PINNED = {
 
 # Tower family (6x6, 4 floors, 2 elevators, tfloor 2, N=4): in-shaft door
 # visits and multi-floor reset windows. Values from the solver that built
-# every MDD-E afresh and the whole joint MDD-E for every classification.
+# every MDD-E afresh and the whole joint MDD-E for every classification;
+# 779_020's two elevator-constraint rows since selection passes over door
+# vertex conflicts that a same-instant boarding conflict dominates.
 PINNED_TOWER = {
     779_009: [(39, 64, 127, 0, {"boarding": 59, "edge": 1, "occupancy": 2, "vertex": 1}),
               (39, 8, 15, 0, {"boarding": 3, "edge": 1, "occupancy": 2, "vertex": 1}),
               (39, 37, 69, 2, {"boarding": 31, "edge": 1, "occupancy": 1, "vertex": 1}),
               (39, 7, 9, 2, {"boarding": 1, "edge": 1, "occupancy": 1, "vertex": 1})],
     779_020: [(42, 69, 137, 0, {"boarding": 32, "vertex": 36}),
-              (42, 37, 73, 0, {"boarding": 4, "vertex": 32}),
+              (42, 21, 41, 0, {"boarding": 2, "vertex": 18}),
               (42, 77, 121, 16, {"boarding": 22, "vertex": 38}),
-              (42, 36, 61, 5, {"boarding": 4, "vertex": 26})],
+              (42, 22, 37, 3, {"boarding": 2, "vertex": 16})],
     779_023: [(48, 27, 53, 0, {"boarding": 22, "edge": 1, "occupancy": 1, "vertex": 2}),
               (48, 13, 25, 0, {"boarding": 8, "edge": 1, "occupancy": 1, "vertex": 2}),
               (48, 29, 45, 6, {"boarding": 18, "edge": 1, "occupancy": 1, "vertex": 2}),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mapfe import mdd as mdd_mod
 from mapfe.cbs import SolverConfig, VertexConflict, _Solver, solve
+from mapfe.elevator import ElevatorConflict, ElevatorUsage
 from mapfe.mdd import (
     CARDINAL,
     NON_CARDINAL,
@@ -421,6 +422,25 @@ def test_each_side_bans_exactly_the_paths_that_commit_it():
     check()
     print(f"\nsides checked: {checked}")
     assert sorted(checked) == ["boarding", "edge", "occupancy", "vertex"], checked
+
+
+def test_occupancy_rider_ban_starts_exactly_one_window_before_the_presence():
+    """The rider may board at t=1, 2 or 3 in a cost-5 path. A presence at
+    its floor-1 door at t=4 lies in the busy window [b, b + 2] of a
+    boarding at b=2 or 3, so the rider's side bans those boardings and
+    keeps b=1. b=2 is exactly one window before the presence: a ban that
+    starts a step late keeps a committing path."""
+    g = parse_map("type mapf-e\nfloors 2\nheight 1\nwidth 3\ntfloor 1\n.E.\n.E.\n")
+    rider = Agent(0, Vertex(1, 0, 0), Vertex(2, 2, 0))
+    c = ElevatorConflict("occupancy", 0, 1, 0, 4, ElevatorUsage(0, 0, 2, 1, 2, 1), None,
+                         Vertex(1, 1, 0))
+    paths = enumerate_cost_d_paths(rider, g, ConstraintSet(), 5)
+    boardings = {p: next(t for (v, t), (w, _) in itertools.pairwise(p) if w.floor != v.floor)
+                 for p in paths}
+    assert set(boardings.values()) == {1, 2, 3}
+    kept = enumerate_cost_d_paths(rider, g, ConstraintSet().with_ban(_ban(c, 0)), 5)
+    assert set(kept) == {p for p in paths if not path_commits(c, 0, p, g)}
+    assert {boardings[p] for p in kept} == {1}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True,
