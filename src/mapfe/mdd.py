@@ -100,8 +100,9 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
     DAG. Forward timed reachability is intersected with backward
     completability, so every kept node sits on a root-to-goal path of cost
     exactly d (an arrival at d, not a goal wait). `heuristic` is the
-    agent's `sipp.cost_to_go`, built here when not given; grid moves and
-    their costs-to-go come from its successor table."""
+    agent's `sipp.cost_to_go`, built here when not given: the diagram reads
+    the same tables of grid moves and rides as `sipp.plan`, and keeps a
+    ride when `ConstraintSet.ride_block` clears its departure."""
     heur = heuristic if heuristic is not None else _Heuristic(agent, graph)
     vertex_bans, edge_bans = constraints.vertex_bans, constraints.edge_bans
     goal_bans = vertex_bans.get(agent.goal, ())
@@ -137,11 +138,8 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
             rode = n.elevator != -1
             if rode and v.floor != goal_floor:
                 continue  # an in-shaft door visit: the ride chain was added at boarding
-            nbrs = succ[rode].get(v)
-            if nbrs is None:
-                nbrs = heur.successors(v, rode)
             out = set()
-            for u, h_u in ((v, heur.value(v, rode)), *nbrs):  # the wait, then the moves
+            for u, h_u in ((v, heur.value(v, rode)), *succ[rode][v]):  # the wait, then the moves
                 if h_u > slack:
                     continue
                 bans = vertex_bans.get(u)
@@ -157,12 +155,8 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
                 count += len(nxt) - size
                 if count > NODE_CAP:
                     raise MddSizeExceeded(f"MDD-E for agent {agent.id} exceeded {NODE_CAP} nodes")
-            if cross and not rode:
-                ride = rides.get(v)
-                if ride is None:
-                    ride = heur.ride_from(v)
-                if ride:
-                    _add_ride(constraints, ride, n, d, add)
+            if cross and not rode and (ride := rides[v]):
+                _add_ride(constraints, ride, n, d, add)
 
     # backward completability, one level at a time from the last (every
     # edge goes forward in time), excluding a final wait at the goal
@@ -189,11 +183,9 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
 
 def _add_ride(constraints: ConstraintSet, ride: Ride, n: MddENode, d: int, add) -> None:
     dep = n.time
-    e_id, inner, target, duration, _ = ride
-    if dep + duration > d or constraints.boarding_banned(e_id, n.vertex.floor, dep):
-        return
-    visits = (*inner, (target, duration))
-    if any(constraints.vertex_banned(door, dep + offset) for door, offset in visits):
+    e_id, visits, _ = ride
+    if (dep + visits[-1][1] > d
+            or constraints.ride_block(e_id, n.vertex.floor, visits, dep) is not None):
         return
     prev = n
     for door, offset in visits:

@@ -9,14 +9,17 @@ Grid moves and heuristic distances come from a `GridIndex`, which a solve
 builds once and shares through its agents' heuristics: each vertex's
 4-neighbours, and one BFS distance field per source, so the field of an
 elevator door is computed once however many agents start on its floor.
-Each agent's heuristic joins the two once per (vertex, ride state) into a
-successor table, which the planner and the MDD-E builder read.
+Each agent's heuristic is its move model, shared by the planner and the
+MDD-E builder: a successor table per ride state and a ride table, each
+filling an entry on its first read. Whether a ride breaks a constraint is
+one rule, `ConstraintSet.ride_block`, which both read as well.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from .model import Agent, MultiFloorGraph, Vertex, ride_visits
@@ -92,6 +95,21 @@ class ConstraintSet:
 
     def boarding_banned(self, elevator: int, floor: int, t: int) -> bool:
         return interval_contains(self.boarding_bans.get((elevator, floor), ()), t)
+
+    def ride_block(self, elevator: int, floor: int, visits: tuple[tuple[Vertex, int], ...],
+                   dep: int) -> int | None:
+        """None when a ride of `elevator` boarded on `floor` at dep breaks
+        no ban, else the smallest later departure worth trying. `visits`
+        are the ride's (door, offset) pairs, a door reached at dep plus its
+        offset."""
+        for lo, hi in self.boarding_bans.get((elevator, floor), ()):
+            if lo <= dep <= hi:
+                return hi + 1
+        for door, offset in visits:
+            for lo, hi in self.vertex_bans.get(door, ()):
+                if lo <= dep + offset <= hi:
+                    return hi - offset + 1
+        return None
 
     def max_end(self) -> int:
         ends = [0]
@@ -180,10 +198,20 @@ class Ride(NamedTuple):
     its offset."""
 
     elevator: int
-    inner: tuple[tuple[Vertex, int], ...]  # (door, offset) of each floor passed through
-    target: Vertex  # the door on the goal floor
-    duration: int  # the target's offset
-    h_target: float  # the target's cost-to-go
+    visits: tuple[tuple[Vertex, int], ...]  # (door, offset) per floor reached, goal floor last
+    h_target: float  # the goal floor door's cost-to-go
+
+
+class _Table(dict):
+    """A dict that computes a missing entry with `fill` on its first read,
+    and keeps it."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 class _Heuristic:
@@ -191,10 +219,14 @@ class _Heuristic:
     the best door, ride, and walk on the goal floor. It ignores constraints,
     so one instance serves every plan and MDD-E of its agent in a solve.
     Its distance fields come from `index`, which the agents of a solve
-    share, so each door's field is computed once for all of them. Its
-    successor table, filled as plans and MDD-Es ask, holds each vertex's
-    grid moves per ride state with their cost-to-go (`successors`), and its
-    ride table each start-floor vertex's ride (`ride_from`)."""
+    share, so each door's field is computed once for all of them.
+
+    It is also the agent's move model. `succ[rode][v]` is v's grid moves in
+    that ride state that can still reach the goal, each with its
+    cost-to-go, in `GridIndex.moves` order. `rides[v]` is the `Ride` from v
+    to the goal floor, or () when v is no door; read it only for a vertex
+    an unboarded floor-crossing agent stands on. Both tables fill an entry
+    on its first read and keep it."""
 
     def __init__(self, agent: Agent, graph: MultiFloorGraph, index: GridIndex | None = None):
         self.graph = graph
@@ -207,19 +239,16 @@ class _Heuristic:
             best: dict[Vertex, float] = {}
             for e in graph.elevators:
                 ride = abs(agent.start_floor - agent.goal_floor) * e.t_floor
-                tail = self.post.get(Vertex(agent.goal_floor, e.cell[0], e.cell[1]), INF) + ride
+                tail = self.post.get(graph.door(e.id, agent.goal_floor), INF) + ride
                 if tail == INF:
                     continue
-                door_start = Vertex(agent.start_floor, e.cell[0], e.cell[1])
-                for v, d in self.index.distances(door_start).items():
+                for v, d in self.index.distances(graph.door(e.id, agent.start_floor)).items():
                     val = d + tail
                     if val < best.get(v, INF):
                         best[v] = val
             self.pre = best
-        # indexed by the ride state: vertex -> ((neighbour, cost-to-go), ...)
-        self.succ: tuple[dict, dict] = ({}, {})
-        # vertex -> its `Ride`, or () when it is no door
-        self.rides: dict[Vertex, Ride | tuple[()]] = {}
+        self.succ = tuple([_Table(partial(self._moves, rode)) for rode in (False, True)])
+        self.rides = _Table(self._ride)
 
     def table(self, floor: int, rode: bool) -> dict[Vertex, float]:
         """Cost-to-go of the vertices of one floor in one ride state; a
@@ -233,32 +262,17 @@ class _Heuristic:
     def value(self, v: Vertex, rode: bool) -> float:
         return self.table(v.floor, rode).get(v, INF)
 
-    def successors(self, v: Vertex, rode: bool) -> tuple[tuple[Vertex, float], ...]:
-        """v's grid moves in one ride state that can still reach the goal,
-        each with its cost-to-go, in `GridIndex.moves` order; computed once
-        per (vertex, ride state), then read from `succ`."""
-        out = self.succ[rode].get(v)
-        if out is None:
-            table = self.table(v.floor, rode)  # grid moves stay on v's floor
-            out = self.succ[rode][v] = tuple([(u, h) for u in self.index.moves.get(v, ())
-                                              if (h := table.get(u, INF)) < INF])
-        return out
+    def _moves(self, rode: bool, v: Vertex) -> tuple[tuple[Vertex, float], ...]:
+        table = self.table(v.floor, rode)  # grid moves stay on v's floor
+        return tuple([(u, h) for u in self.index.moves.get(v, ())
+                      if (h := table.get(u, INF)) < INF])
 
-    def ride_from(self, v: Vertex) -> Ride | tuple[()]:
-        """The ride from v to the goal floor, or () when v is no door;
-        computed once per vertex, then read from `rides`. Ask only for a
-        vertex an unboarded floor-crossing agent stands on."""
-        out = self.rides.get(v)
-        if out is None:
-            e = self.graph.elevator_at(v)
-            if e is None:
-                out = ()
-            else:
-                *inner, (target, duration) = ride_visits(self.graph, e.id, v.floor,
-                                                         self.goal_floor, 0)
-                out = Ride(e.id, tuple(inner), target, duration, self.value(target, True))
-            self.rides[v] = out
-        return out
+    def _ride(self, v: Vertex) -> Ride | tuple[()]:
+        e = self.graph.elevator_at(v)
+        if e is None:
+            return ()
+        visits = tuple(ride_visits(self.graph, e.id, v.floor, self.goal_floor, 0))
+        return Ride(e.id, visits, self.value(visits[-1][0], True))
 
 
 def cost_to_go(agent: Agent, graph: MultiFloorGraph, index: GridIndex | None = None) -> _Heuristic:
@@ -276,7 +290,8 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
     satisfies the constraints. Ties break on (f, larger g, vertex order);
     waits in the result are retimed toward the start when legal.
     `heuristic` is the agent's `cost_to_go`, built here when not given;
-    grid moves and their costs-to-go come from its successor table."""
+    grid moves, rides and their costs-to-go come from its tables, and a
+    ride departs at the first time `ConstraintSet.ride_block` clears."""
     heur = heuristic if heuristic is not None else _Heuristic(agent, graph)
     start, goal = agent.start, agent.goal
     h0 = heur.value(start, False)
@@ -319,10 +334,7 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
         ivs = safe_get(v)
         cur_hi = INF if ivs is None else ivs[idx][1]
 
-        nbrs = succ[rode].get(v)
-        if nbrs is None:
-            nbrs = heur.successors(v, rode)
-        for u, h_u in nbrs:
+        for u, h_u in succ[rode][v]:
             u_ivs = safe_get(u)
             if u_ivs is None:  # no vertex ban: one interval, [0, inf)
                 dep = g
@@ -352,40 +364,23 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
                     parent[ustate] = (state, dep, None)
                     push(heap, (arr + h_u, -arr, u, uidx, rode))
 
-        if rides is not None and not rode:
-            ride = rides.get(v)
-            if ride is None:
-                ride = heur.ride_from(v)
-            if ride:
-                e_id, inner, target, t_o, h_t = ride
-                for tidx, (lo, hi) in enumerate(safe_get(target, _ALWAYS_SAFE) if h_t < INF else ()):
-                    dep = max(g, lo - t_o)
-                    dep_hi = min(cur_hi, hi - t_o)
-                    while dep <= dep_hi:
-                        bumped = _board_violation(constraints, e_id, v.floor, inner, dep)
-                        if bumped is None:
-                            arr = dep + t_o
-                            ustate = (target, tidx, True)
-                            if arr < best_get(ustate, INF):
-                                best[ustate] = arr
-                                parent[ustate] = (state, dep, e_id)
-                                push(heap, (arr + h_t, -arr, target, tidx, True))
-                            break
-                        dep = max(dep + 1, bumped)
-    return None
-
-
-def _board_violation(constraints: ConstraintSet, elevator: int, floor: int,
-                     inner: tuple[tuple[Vertex, int], ...], dep: int) -> int | None:
-    """None when a ride departing at dep is clean, else the smallest later
-    departure worth trying."""
-    for lo, hi in constraints.boarding_bans.get((elevator, floor), ()):
-        if lo <= dep <= hi:
-            return hi + 1
-    for door, offset in inner:
-        for lo, hi in constraints.vertex_bans.get(door, ()):
-            if lo <= dep + offset <= hi:
-                return hi - offset + 1
+        if rides is not None and not rode and (ride := rides[v]):
+            e_id, visits, h_t = ride
+            target, t_o = visits[-1]
+            for tidx, (lo, hi) in enumerate(safe_get(target, _ALWAYS_SAFE) if h_t < INF else ()):
+                dep = max(g, lo - t_o)
+                dep_hi = min(cur_hi, hi - t_o)
+                while dep <= dep_hi:
+                    bumped = constraints.ride_block(e_id, v.floor, visits, dep)
+                    if bumped is None:
+                        arr = dep + t_o
+                        ustate = (target, tidx, True)
+                        if arr < best_get(ustate, INF):
+                            best[ustate] = arr
+                            parent[ustate] = (state, dep, e_id)
+                            push(heap, (arr + h_t, -arr, target, tidx, True))
+                        break
+                    dep = bumped
     return None
 
 
@@ -396,7 +391,7 @@ def _reconstruct(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSe
     start vertex: the agent departs as late as possible and never loiters
     en route (in particular not at elevator doors). When the retimed path
     breaks a constraint, the path as searched, waits where they fell."""
-    edge_bans, boarding_bans = constraints.edge_bans, constraints.boarding_bans
+    edge_bans = constraints.edge_bans
     links = []  # (from, to, searched departure, elevator id or None), goal first
     late: list[tuple[Vertex, int]] = []  # the retimed steps after the start's, reversed
     legal = True
@@ -413,9 +408,8 @@ def _reconstruct(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSe
         else:
             t -= abs(w.floor - v.floor) * graph.elevators[elevator].t_floor
             late.extend(reversed(ride_visits(graph, elevator, v.floor, w.floor, t)))
-            for lo, hi in boarding_bans.get((elevator, v.floor), ()):
-                if lo <= t <= hi:
-                    legal = False
+            if constraints.boarding_banned(elevator, v.floor, t):
+                legal = False
         state = prev
     if t < 0:
         raise RuntimeError(f"agent {agent.id}: the searched moves take longer than "

@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import math
 import random
 from types import SimpleNamespace
 
@@ -330,14 +332,24 @@ def test_unavoidable_side_sees_a_ride_spanning_the_level():
 # enumerating all paths grows exponentially with the cost.
 ENUM_COST_CAP = 14
 ENUM_PATH_CAP = 500
-ENUM_MIN_CHECKED = 100  # about 200 are checked; generation may vary across Hypothesis versions
+ENUM_MIN_CHECKED = 100  # about 260 are checked; generation may vary across Hypothesis versions
+# CT expansions each solve may make. A fixed budget, not a time limit, stops
+# the solves that do not finish, so the labels checked are the same on any
+# host and under any load.
+ENUM_EXPANSIONS = 15
+
+
+class _Spent(Exception):
+    """A solve reached `ENUM_EXPANSIONS`."""
 
 
 def test_classify_matches_enumeration():
     """Every label the solver computes equals the one from enumerating all
     path pairs, and every side the single-MDD-E test calls unavoidable is
     committed by every cost-exact path of that agent. Conflicts over the
-    enumeration budget are counted and skipped; enough labels must remain."""
+    enumeration budget are counted and skipped; enough labels must remain.
+    Each solve stops after `ENUM_EXPANSIONS` expansions; no time limit
+    binds."""
     counts = {"checked": 0, "skipped": 0, "unavoidable": 0}
 
     @settings(max_examples=25, deadline=None, derandomize=True,
@@ -346,9 +358,11 @@ def test_classify_matches_enumeration():
     def check(instance):
         graph, agents = instance.graph, instance.agents
         real, find = mdd_mod.classify, _Solver._find_conflict
-        nodes = []  # the node whose conflicts are being classified, last
+        nodes = []  # this solve's expanded nodes, the one being classified last
 
         def finding(self, node):
+            if len(nodes) == ENUM_EXPANSIONS:
+                raise _Spent
             nodes.append(node)
             return find(self, node)
 
@@ -377,7 +391,9 @@ def test_classify_matches_enumeration():
             mp.setattr(mdd_mod, "classify", checked)
             mp.setattr(_Solver, "_find_conflict", finding)
             for ec in (False, True):
-                solve(instance, SolverConfig(ec_enabled=ec, mdde_enabled=True, time_limit=0.25))
+                nodes.clear()
+                with contextlib.suppress(_Spent):
+                    solve(instance, SolverConfig(ec_enabled=ec, mdde_enabled=True, time_limit=math.inf))
 
     check()
     print(f"\nenumeration: {counts}")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mapfe.model import Agent, Vertex, parse_map, parse_scenario, ride_visits
 from mapfe.sipp import ConstraintSet, GridIndex, Path, cost_to_go, merge_intervals, plan, safe_intervals
 
-from reference import time_expanded_plan
+from reference import _board_ok, time_expanded_plan
 
 INF = math.inf
 
@@ -154,8 +154,84 @@ def test_successor_table_is_the_filtered_grid_moves():
             for rode in (False, True):
                 table = heur.table(v.floor, rode)
                 expected = tuple((u, table[u]) for u in heur.index.moves[v] if u in table)
-                assert heur.successors(v, rode) == expected
-                assert heur.succ[rode][v] is heur.successors(v, rode)  # filled once
+                assert heur.succ[rode][v] == expected
+                assert heur.succ[rode][v] is heur.succ[rode][v]  # filled once
+
+
+def test_ride_table_holds_each_door_ride_to_the_goal_floor():
+    rng = random.Random(98)
+    doors = 0
+    for _ in range(60):
+        agent, g, _ = _random_case(rng)
+        if agent.start_floor == agent.goal_floor:
+            continue
+        heur = cost_to_go(agent, g, GridIndex(g))
+        for v in g.vertices():
+            e = g.elevator_at(v)
+            if e is None:
+                assert heur.rides[v] == ()
+            elif v.floor == agent.start_floor:
+                ride = heur.rides[v]
+                visits = tuple(ride_visits(g, e.id, v.floor, agent.goal_floor, 0))
+                assert ride.elevator == e.id and ride.visits == visits
+                assert visits[-1][0] == g.door(e.id, agent.goal_floor)
+                assert ride.h_target == heur.value(visits[-1][0], True)
+                assert heur.rides[v] is ride  # filled once
+                doors += 1
+    assert doors > 10
+
+
+def _ride_map(rng):
+    """A random map of 2-4 floors with one or two elevators."""
+    floors = rng.randint(2, 4)
+    width = rng.randint(3, 4)
+    doors = rng.sample(range(width), rng.randint(1, 2))
+    row = "".join("E" if x in doors else "." for x in range(width))
+    overrides = "".join(f"tfloor_k {k} {rng.randint(1, 3)}\n" for k in range(len(doors))
+                        if rng.random() < 0.5)
+    return parse_map(f"type mapf-e\nfloors {floors}\nheight 2\nwidth {width}\n"
+                     f"tfloor {rng.randint(1, 3)}\n{overrides}"
+                     + (row + "\n" + "." * width + "\n") * floors)
+
+
+def test_ride_block_clears_exactly_the_departures_the_reference_allows():
+    """`ride_block` is None exactly when `reference._board_ok` holds, and a
+    bump b leaves no clean departure in [dep, b), so SIPP's walk over
+    departures skips none."""
+    rng = random.Random(4242)
+    seen = {"boarding": 0, "inner": 0, "target": 0, "bumps": 0, "clean": 0}
+    for _ in range(300):
+        g = _ride_map(rng)
+        e = rng.choice(g.elevators)
+        floor, goal_floor = rng.sample(range(1, g.floors + 1), 2)
+        door, target = g.door(e.id, floor), g.door(e.id, goal_floor)
+        visits = tuple(ride_visits(g, e.id, floor, goal_floor, 0))
+        cs = ConstraintSet()
+        for _ in range(rng.randint(0, 5)):
+            lo = rng.randint(0, 14)
+            hi = lo + rng.randint(0, 3)
+            kind = rng.random()
+            if kind < 0.3:
+                other = rng.choice(g.elevators).id
+                cs = cs.with_ban(("boarding", other, rng.randint(1, g.floors), lo, hi))
+            elif kind < 0.8:
+                cs = cs.with_ban(("vertex", g.door(e.id, rng.randint(1, g.floors)), lo, hi))
+            else:
+                cs = cs.with_ban(("vertex", rng.choice(list(g.vertices())), lo, hi))
+        for dep in range(0, 20):
+            ok = _board_ok(cs, g, door, target, dep)
+            bumped = cs.ride_block(e.id, floor, visits, dep)
+            assert (bumped is None) == ok, (cs, dep)
+            if ok:
+                seen["clean"] += 1
+                continue
+            assert bumped > dep
+            assert not any(_board_ok(cs, g, door, target, t) for t in range(dep, bumped))
+            seen["bumps"] += bumped - dep > 1
+            seen["boarding"] += cs.boarding_banned(e.id, floor, dep)
+            seen["target"] += cs.vertex_banned(target, dep + visits[-1][1])
+            seen["inner"] += any(cs.vertex_banned(v, dep + offset) for v, offset in visits[:-1])
+    assert min(seen.values()) > 20, seen
 
 
 def _assert_respects(path: Path, g, cs: ConstraintSet) -> None:
