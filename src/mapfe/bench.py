@@ -24,7 +24,7 @@ VARIANTS: dict[str, tuple[bool, bool]] = {
 }
 
 CSV_HEADER = ("experiment,variant,N,floors,tfloor,seed,solved,soc,"
-              "runtime_ms,expanded,generated,mdde_time_fraction")
+              "runtime_ms,expanded,generated,mdde_time_fraction,status,lower_bound")
 
 
 class GenerationError(RuntimeError):
@@ -105,6 +105,8 @@ class ResultRecord:
     expanded: int
     generated: int
     mdde_time_fraction: float
+    status: str  # solved | timeout | infeasible
+    lower_bound: int | None  # a timeout's least open g (`SolveStats.lower_bound`)
 
 
 def gen_instance(cfg: ExperimentConfig, n_agents: int, seed: int,
@@ -172,7 +174,8 @@ def run_suite(cfg: ExperimentConfig) -> list[ResultRecord]:
                     soc=result.solution.g if result.solution else None,
                     runtime_ms=stats.runtime * 1000.0,
                     expanded=stats.expanded, generated=stats.generated,
-                    mdde_time_fraction=stats.mdde_time_fraction))
+                    mdde_time_fraction=stats.mdde_time_fraction,
+                    status=result.status, lower_bound=stats.lower_bound))
     return records
 
 
@@ -184,7 +187,8 @@ def write_csv(records: Iterable[ResultRecord], out: TextIO) -> None:
             r.experiment, r.variant, r.n_agents, r.floors, r.tfloor, r.seed,
             int(r.solved), "" if r.soc is None else r.soc,
             f"{r.runtime_ms:.3f}", r.expanded, r.generated,
-            f"{r.mdde_time_fraction:.4f}",
+            f"{r.mdde_time_fraction:.4f}", r.status,
+            "" if r.lower_bound is None else r.lower_bound,
         ])
 
 

@@ -26,13 +26,17 @@ of the solve, and each path's ride and door presences are extracted once
 reads them off the node. Sibling subtrees keep adding the same ban to
 the same parent set; `ConstraintSet` derives each (parent, ban) child
 once, and a set is its own memo key by identity, so those branches share
-its plans and MDD-Es. A child replans one agent, so it keeps its
-parent's conflicts that do not involve that agent and rescans only that
-agent against the others. About half the children are never
-expanded, so a child is planned at once but scanned only when it reaches
-the top of the open list: until then it holds its parent's list and is
-queued under the count of that list's conflicts without the replanned
-agent, a lower bound on its own count. A child also keeps the other agents'
+its plans and MDD-Es. Equal step sequences are one `Path` per solve
+(`_Solver._intern`), so a path's identity is a memo key. A child replans
+one agent, so it keeps its parent's conflicts that do not involve that
+agent and rescans only that agent against the others, pair by pair: the
+conflicts of each pair of paths are found once per solve and kept
+(`_Solver.pairs`), and one one-agent scan over the pairs not kept yet
+fills them. About half the children are never expanded, so a child is
+planned at once but scanned only when it reaches the top of the open
+list: until then it holds its parent's list and is queued under the
+count of that list's conflicts without the replanned agent, a lower
+bound on its own count. A child also keeps the other agents'
 constraint sets, and so their MDD-Es: a conflict's label and bypass depend
 only on the two MDD-Es and the conflict, and one joint search
 (`mdd.classify`, given both diagrams) yields both, so it runs once per
@@ -160,6 +164,7 @@ class SolveStats:
     plan_time: float = 0.0  # seconds inside those plans
     plan_reuses: int = 0  # plan requests the solve's memo answered
     scans: int = 0  # one-agent conflict scans: popped children, bypass candidates
+    pair_hits: int = 0  # (scanned agent, other agent) pairs the solve's pair memo answered
     peak_open: int = 0  # the largest open-list size
     mdd_builds: int = 0  # MDD-Es built by the solve
     mdd_shared: int = 0  # builds whose diagram equals an earlier one of the solve
@@ -222,24 +227,28 @@ def _with_entry(items, k: int, item) -> tuple:
 
 
 def enumerate_conflicts(paths: list[Path], graph: MultiFloorGraph, agent: int | None = None,
-                        rides: tuple | None = None) -> list[Conflict]:
+                        rides: tuple | None = None, others=None) -> list[Conflict]:
     """Every vertex, edge, and elevator conflict of the joint plan, with
     finished agents parked at their goals, in `_conflict_key` order. With
-    `agent` given, only the conflicts that involve that agent. `rides`
-    holds each path's ride and door presences (`RideSummaries.get`);
-    without it they are extracted afresh."""
-    out: list[Conflict] = list(detect_elevator_conflicts(paths, graph, agent, rides))
+    `agent` given, only the conflicts that involve that agent, and with
+    `others` (ascending agent ids) given too, only those with an agent of
+    `others`. `rides` holds each path's ride and door presences
+    (`RideSummaries.get`); without it they are extracted afresh."""
+    out: list[Conflict] = list(detect_elevator_conflicts(paths, graph, agent, rides, others))
     n = len(paths)
     if n >= 2:
         horizon = max(p.cost for p in paths)
-        for k in (range(n - 1) if agent is None else (agent,)):
-            _agent_grid_conflicts(paths, k, range(k + 1, n) if agent is None else range(n),
+        if agent is None:
+            for k in range(n - 1):
+                _agent_grid_conflicts(paths, k, range(k + 1, n), horizon, out)
+        else:
+            _agent_grid_conflicts(paths, agent, range(n) if others is None else others,
                                   horizon, out)
     out.sort(key=_conflict_key)
     return out
 
 
-def _agent_grid_conflicts(paths: list[Path], k: int, others: range, horizon: int,
+def _agent_grid_conflicts(paths: list[Path], k: int, others, horizon: int,
                           out: list[Conflict]) -> None:
     """Append agent k's vertex and edge conflicts with each other agent of
     `others`: only k gets a timeline, its vertex at each time 0..horizon
@@ -334,6 +343,12 @@ class _Solver:
         self.rides = RideSummaries(self.graph)
         self.mdds = mdd_mod.MddECache(self.graph, self.agents, self.heuristics)
         self.steps: dict[tuple[Vertex, int], tuple[Vertex, int]] = {}
+        # The solve's one path per distinct step sequence; a path belongs
+        # to one agent (starts are distinct) and lives for the whole solve
+        self.interned: dict[tuple, Path] = {}
+        # The conflicts between two paths, per (id of the lower agent's
+        # path, id of the higher agent's path)
+        self.pairs: dict[tuple[int, int], tuple[Conflict, ...]] = {}
         self.shared_conflicts: dict[Conflict, Conflict] = {}
         # Each agent's interned path, or None, per (agent, constraint set)
         self.plans: dict[tuple[int, ConstraintSet], Path | None] = {}
@@ -418,22 +433,43 @@ class _Solver:
         return path
 
     def _intern(self, path: Path) -> Path:
-        """The path with every (vertex, t) step shared with equal steps of
-        earlier paths of this solve, so CT nodes hold little of their own."""
-        steps = self.steps
-        return Path(tuple([steps.setdefault(s, s) for s in path.steps]))
+        """The solve's one path with these steps, so that equal paths are
+        one object and its `id` a memo key. A new path's every (vertex, t)
+        step is shared with equal steps of earlier paths, so CT nodes hold
+        little of their own."""
+        found = self.interned.get(path.steps)
+        if found is None:
+            steps = self.steps
+            found = Path(tuple([steps.setdefault(s, s) for s in path.steps]))
+            self.interned[found.steps] = found
+        return found
 
     def _rescan(self, node: CTNode, agent_id: int, paths: list[Path]) -> list[Conflict]:
         """Conflicts of `paths`, which `node.rides` summarises and which
         differ only in agent_id's path from the plan of `node.conflicts`:
-        those conflicts without that agent, plus a rescan of it."""
+        those conflicts without that agent, plus that agent's conflicts
+        with each other agent, per pair of paths from the solve's pair
+        memo. One one-agent scan fills the pairs the memo lacks."""
         self.stats.scans += 1
-        conflicts = [c for c in node.conflicts if c.i != agent_id and c.j != agent_id]
-        # siblings and cousins rescan the same plans into equal conflicts;
-        # CT nodes share one object per distinct conflict of the solve
-        shared = self.shared_conflicts
-        conflicts += [shared.setdefault(c, c)
-                      for c in enumerate_conflicts(paths, self.graph, agent_id, node.rides)]
+        k = agent_id
+        conflicts = [c for c in node.conflicts if c.i != k and c.j != k]
+        pairs, mine = self.pairs, id(paths[k])
+        keys = [(id(p), mine) if j < k else (mine, id(p)) for j, p in enumerate(paths)]
+        missing = [j for j, key in enumerate(keys) if j != k and key not in pairs]
+        if missing:
+            # a replan keeps most of a path, so pairs of distinct paths
+            # share conflicts; CT nodes share one object per distinct
+            # conflict of the solve
+            shared = self.shared_conflicts
+            found: dict[int, list[Conflict]] = {j: [] for j in missing}
+            for c in enumerate_conflicts(paths, self.graph, k, node.rides, missing):
+                found[c.i if c.j == k else c.j].append(shared.setdefault(c, c))
+            for j, cs in found.items():
+                pairs[keys[j]] = tuple(cs)  # empty pairs share ()
+        self.stats.pair_hits += len(paths) - 1 - len(missing)
+        for j, key in enumerate(keys):
+            if j != k:
+                conflicts += pairs[key]
         conflicts.sort(key=_conflict_key)
         return conflicts
 
@@ -537,7 +573,7 @@ class _Solver:
             if path is None:
                 continue
             paths = _with_entry(node.paths, agent_id, path)
-            children.append(CTNode(paths, sum(p.cost for p in paths),
+            children.append(CTNode(paths, node.g - node.paths[agent_id].cost + path.cost,
                                    _with_entry(node.omegas, agent_id, omega), node.conflicts,
                                    self._next_seq(), node.rides, agent_id))
         return children

@@ -159,7 +159,7 @@ def _cmd_solve(args) -> int:
     print(plan_text, end="")
     stats = result.stats
     print(f"stats expanded={stats.expanded} generated={stats.generated} "
-          f"scans={stats.scans} peak_open={stats.peak_open} "
+          f"scans={stats.scans} peak_open={stats.peak_open} pair_hits={stats.pair_hits} "
           f"runtime_ms={stats.runtime * 1000.0:.3f} "
           f"plan_time_ms={stats.plan_time * 1000.0:.3f} "
           f"mdde_time_fraction={stats.mdde_time_fraction:.4f} "

@@ -158,7 +158,7 @@ class RideSummaries:
 
 
 def detect_elevator_conflicts(paths, graph: MultiFloorGraph, agent: int | None = None,
-                              rides: tuple | None = None) -> list[ElevatorConflict]:
+                              rides: tuple | None = None, others=None) -> list[ElevatorConflict]:
     """All elevator conflicts of a joint plan, per the two variants:
 
     - boarding: two usages of the same elevator with overlapping busy
@@ -170,10 +170,11 @@ def detect_elevator_conflicts(paths, graph: MultiFloorGraph, agent: int | None =
 
     `paths` is a sequence of objects with a `steps` list of (Vertex, time),
     indexed by agent id. With `agent` given, only the conflicts that
-    involve that agent are reported. `rides` holds each path's summary
-    (`RideSummaries.get`), indexed like `paths`; without it the summaries
-    are extracted afresh. Results
-    come in scan order, by rider and then by the other agent, and a
+    involve that agent are reported, and with `others` (ascending agent
+    ids) given too, only those with an agent of `others`. `rides` holds
+    each path's summary (`RideSummaries.get`), indexed like `paths`;
+    without it the summaries are extracted afresh. Results come in scan
+    order, by rider and then by the other agent, and a
     one-agent scan keeps the full scan's order; `cbs.enumerate_conflicts`
     sorts them into the solver's conflict order.
     """
@@ -183,14 +184,24 @@ def detect_elevator_conflicts(paths, graph: MultiFloorGraph, agent: int | None =
 
     conflicts: list[ElevatorConflict] = []
     agents = range(len(paths))
+    if others is None:
+        others = agents
     for i in agents:
         u_i = rides[i][0]
         if u_i is None:
             continue
         k = u_i.elevator
-        # with `agent` given, only its own pairs: all of them when it rides,
-        # else each other rider's pair with it
-        for j in (agents if agent is None or agent == i else (agent,)):
+        # with `agent` given, only its own pairs (with `others` only): all
+        # of them when it rides, else each other rider's pair with it
+        if agent is None:
+            partners = agents
+        elif agent == i:
+            partners = others
+        elif i in others:
+            partners = (agent,)
+        else:
+            continue
+        for j in partners:
             if j == i:
                 continue
             u_j, presences = rides[j]

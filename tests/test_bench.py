@@ -151,12 +151,19 @@ def test_csv_schema_and_determinism():
         write_csv(run_suite(cfg), buf)
         outs.append(buf.getvalue())
     first, second = outs
-    assert first.splitlines()[0] == CSV_HEADER
-    # byte-identical apart from the wall-time-derived columns
+    assert first.splitlines()[0] == CSV_HEADER == (
+        "experiment,variant,N,floors,tfloor,seed,solved,soc,runtime_ms,expanded,"
+        "generated,mdde_time_fraction,status,lower_bound")
+    # byte-identical apart from the wall-time-derived columns (a timeout's
+    # lower bound among them)
     def strip_time(text):
         rows = [line.split(",") for line in text.splitlines()]
-        return [row[:8] + row[9:11] for row in rows]
+        return [row[:8] + row[9:11] + row[12:13] for row in rows]
     assert strip_time(first) == strip_time(second)
+    for row in first.splitlines()[1:]:
+        fields = row.split(",")
+        assert (fields[12] == "solved") == (fields[6] == "1")
+        assert (fields[13] != "") == (fields[12] == "timeout")
 
 
 def test_summarize_success_rates_and_expansions():

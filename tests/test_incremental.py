@@ -21,7 +21,7 @@ from mapfe.bench import ExperimentConfig, gen_instance
 from mapfe.cbs import SolverConfig, VertexConflict, _Solver, enumerate_conflicts, solve, validate
 from mapfe.elevator import detect_elevator_conflicts
 from mapfe.model import Vertex, parse_map, parse_scenario, ride_visits
-from mapfe.sipp import Path as Plan
+from mapfe.sipp import ConstraintSet, Path as Plan
 
 from reference import BOARD, grid_conflicts, neighbors
 
@@ -117,6 +117,16 @@ def test_grid_scans_equal_the_pairwise_timeline_reference(instance, seed):
     for k in range(len(paths)):
         assert _grid_tuples(enumerate_conflicts(paths, graph, k)) == \
             [c for c in expected if k in c[1:3]]
+        for others in _subsets(len(paths), k):
+            assert _grid_tuples(enumerate_conflicts(paths, graph, k, others=others)) == \
+                [c for c in expected if k in c[1:3] and (c[1] in others or c[2] in others)]
+
+
+def _subsets(n: int, k: int) -> list[list[int]]:
+    """Ascending `others` subsets for agent k's scan: each other agent on
+    its own, and the other agents of even and of odd id."""
+    return ([[j] for j in range(n) if j != k]
+            + [[j for j in range(n) if j != k and j % 2 == parity] for parity in (0, 1)])
 
 
 class _Enough(Exception):
@@ -194,6 +204,28 @@ def test_one_agent_scans_equal_the_full_scans_filtered(instance):
             assert enumerate_conflicts(paths, graph, k) == [c for c in full if k in (c.i, c.j)]
             assert detect_elevator_conflicts(paths, graph, k) == \
                 [c for c in elevator if k in (c.i, c.j)]
+            for others in _subsets(len(paths), k):
+                # an occupancy conflict lists its rider first, whatever the ids
+                assert enumerate_conflicts(paths, graph, k, others=others) == \
+                    [c for c in full if k in (c.i, c.j) and (c.i in others or c.j in others)]
+                assert detect_elevator_conflicts(paths, graph, k, others=others) == \
+                    [c for c in elevator if k in (c.i, c.j) and (c.i in others or c.j in others)]
+
+
+def test_equal_step_sequences_are_one_path(flat3):
+    # a scan's pair memo is keyed by path identity, so the solve must hand
+    # out one path object per distinct step sequence, bypasses included
+    instance = parse_scenario("1 0 0 1 2 0\n1 0 2 1 2 2\n", flat3)
+    solver = _Solver(instance, SolverConfig())
+    steps = ((Vertex(1, 0, 0), 0), (Vertex(1, 1, 0), 1), (Vertex(1, 2, 0), 2))
+    first = solver._intern(Plan(steps))
+    again = solver._intern(Plan(tuple((Vertex(v.floor, v.x, v.y), t) for v, t in steps)))
+    assert first is again and first == Plan(steps)
+    other = solver._intern(Plan(steps[:2] + ((Vertex(1, 1, 1), 2),)))
+    assert other is not first and other.steps[1] is first.steps[1]
+    # plans are interned: two plans of one agent under two empty sets
+    # (two memo keys) are one path object
+    assert solver._plan(0, ConstraintSet()) is solver._plan(0, ConstraintSet())
 
 
 def test_one_agent_scan_sees_a_shared_start(flat3):
@@ -247,6 +279,23 @@ PINNED_TOWER = {
               (48, 29, 45, 6, {"boarding": 18, "edge": 1, "occupancy": 1, "vertex": 2}),
               (48, 14, 17, 5, {"boarding": 6, "edge": 1, "vertex": 1})],
 }
+
+
+def test_pair_memo_answers_most_scans_on_a_desk_seed():
+    # desk seed 777063 under range constraints without MDD-Es: its 1,061
+    # scans look up 5,305 (replanned agent, other agent) pairs, and the
+    # solve's memo of path pairs answers 4,122 of them; the search counters
+    # are the full-rescan solver's
+    cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
+                           tfloor=3, agents=[6], instances=1)
+    result = solve(gen_instance(cfg, 6, seed=777_063),
+                   SolverConfig(ec_enabled=True, mdde_enabled=False, time_limit=60))
+    s = result.stats
+    assert result.status == "solved"
+    assert (result.solution.g, s.expanded, s.generated, s.bypasses, s.branchings) == \
+        (48, 1007, 2013, 0, {"boarding": 409, "edge": 159, "occupancy": 6, "vertex": 432})
+    assert (s.scans, s.plans, s.door_skips) == (1061, 528, 309)
+    assert s.pair_hits == 4122
 
 
 def _check_pinned(cfg, n, seed, pinned):
@@ -383,8 +432,8 @@ from mapfe.model import parse_map, parse_scenario
 
 full_scan = cbs.enumerate_conflicts
 
-def dropping(paths, graph, agent=None, rides=None):
-    found = full_scan(paths, graph, agent, rides)
+def dropping(paths, graph, agent=None, rides=None, others=None):
+    found = full_scan(paths, graph, agent, rides, others)
     return found[1:] if agent is not None else found
 
 cbs.enumerate_conflicts = dropping
