@@ -22,21 +22,21 @@ shared by every replan and MDD-E of that agent, each (agent, constraint
 set) is planned once (`_Solver.plans`) and each MDD-E built once per
 (agent, cost, constraint set) (`mdd.MddECache`), both kept for the rest
 of the solve, and each path's ride and door presences are extracted once
-(`elevator.RideSummaries`) and kept per agent with each CT node, so a scan
-reads them off the node. Sibling subtrees keep adding the same ban to
+(`elevator.RideSummaries`). Sibling subtrees keep adding the same ban to
 the same parent set; `ConstraintSet` derives each (parent, ban) child
 once, and a set is its own memo key by identity, so those branches share
 its plans and MDD-Es. Equal step sequences are one `Path` per solve
-(`_Solver._intern`), so a path's identity is a memo key. A child replans
+(`_Solver._intern`), so a path's identity is a memo key. Every conflict is
+between two agents, so a pair of paths is the unit of the scan: a pair's
+grid conflicts (`_pair_grid_conflicts`) and elevator conflicts
+(`elevator.pair_elevator_conflicts`) are found once per solve and kept
+(`_Solver._pair`), for the root and every rescan alike. A child replans
 one agent, so it keeps its parent's conflicts that do not involve that
-agent and rescans only that agent against the others, pair by pair: the
-conflicts of each pair of paths are found once per solve and kept
-(`_Solver.pairs`), and one one-agent scan over the pairs not kept yet
-fills them. About half the children are never expanded, so a child is
-planned at once but scanned only when it reaches the top of the open
-list: until then it holds its parent's list and is queued under the
-count of that list's conflicts without the replanned agent, a lower
-bound on its own count. A child also keeps the other agents'
+agent and looks up only that agent's pairs. About half the children
+are never expanded, so a child is planned at once but scanned only when
+it reaches the top of the open list: until then it holds its parent's
+list and is queued under the count of that list's conflicts without the
+replanned agent, a lower bound on its own count. A child also keeps the other agents'
 constraint sets, and so their MDD-Es: a conflict's label and bypass depend
 only on the two MDD-Es and the conflict, and one joint search
 (`mdd.classify`, given both diagrams) yields both, so it runs once per
@@ -46,8 +46,9 @@ diagrams under other constraint sets. The memo holds labels and bypass
 paths, never a joint MDD-E; a joint lives for one expansion.
 Invariant: every expanded CT node's conflict list equals
 `enumerate_conflicts` over its paths, in `_conflict_key` order, which is a
-total order on a plan's conflicts. A full scan, which `validate` keeps to
-certify every returned plan, scans each agent against those after it.
+total order on a plan's conflicts. That whole-plan scan, which `validate`
+keeps to certify every returned plan, runs the same two pair scans over
+each pair without the memo.
 """
 from __future__ import annotations
 
@@ -57,7 +58,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import mdd as mdd_mod
-from .elevator import ElevatorConflict, RideSummaries, detect_elevator_conflicts, ec_constraints
+from .elevator import (ElevatorConflict, RideSummaries, detect_elevator_conflicts, ec_constraints,
+                       pair_elevator_conflicts)
 from .model import Instance, MultiFloorGraph, Vertex
 from .sipp import ConstraintSet, GridIndex, Path, cost_to_go, plan
 
@@ -163,8 +165,8 @@ class SolveStats:
     plans: int = 0  # single-agent SIPP plans run by the solve
     plan_time: float = 0.0  # seconds inside those plans
     plan_reuses: int = 0  # plan requests the solve's memo answered
-    scans: int = 0  # one-agent conflict scans: popped children, bypass candidates
-    pair_hits: int = 0  # (scanned agent, other agent) pairs the solve's pair memo answered
+    scans: int = 0  # rescans of a replanned agent's pairs: popped children, bypass candidates
+    pair_hits: int = 0  # pair scans the solve's pair memo answered
     peak_open: int = 0  # the largest open-list size
     mdd_builds: int = 0  # MDD-Es built by the solve
     mdd_shared: int = 0  # builds whose diagram equals an earlier one of the solve
@@ -190,18 +192,16 @@ class SolveResult:
 
 @dataclass(slots=True)
 class CTNode:
-    """A CT node. In a node the solver built, `rides` holds each path's
-    (ride, door presences) summary. A child is queued unscanned:
-    `conflicts` and `rides` are then its parent's, shared with its
-    sibling, and `replanned` the agent whose path differs from the
-    parent's; `_Solver._scan` gives the child its own."""
+    """A CT node. A child is queued unscanned: `conflicts` is then its
+    parent's list, shared with its sibling, and `replanned` the agent
+    whose path differs from the parent's; `_Solver._scan` gives the child
+    its own."""
 
     paths: tuple[Path, ...]
     g: int
     omegas: tuple[ConstraintSet, ...]
     conflicts: list[Conflict]
     seq: int
-    rides: tuple | None = None
     replanned: int | None = None
 
     @property
@@ -226,58 +226,42 @@ def _with_entry(items, k: int, item) -> tuple:
     return tuple(out)
 
 
-def enumerate_conflicts(paths: list[Path], graph: MultiFloorGraph, agent: int | None = None,
-                        rides: tuple | None = None, others=None) -> list[Conflict]:
+def enumerate_conflicts(paths: list[Path], graph: MultiFloorGraph) -> list[Conflict]:
     """Every vertex, edge, and elevator conflict of the joint plan, with
-    finished agents parked at their goals, in `_conflict_key` order. With
-    `agent` given, only the conflicts that involve that agent, and with
-    `others` (ascending agent ids) given too, only those with an agent of
-    `others`. `rides` holds each path's ride and door presences
-    (`RideSummaries.get`); without it they are extracted afresh."""
-    out: list[Conflict] = list(detect_elevator_conflicts(paths, graph, agent, rides, others))
-    n = len(paths)
-    if n >= 2:
-        horizon = max(p.cost for p in paths)
-        if agent is None:
-            for k in range(n - 1):
-                _agent_grid_conflicts(paths, k, range(k + 1, n), horizon, out)
-        else:
-            _agent_grid_conflicts(paths, agent, range(n) if others is None else others,
-                                  horizon, out)
+    finished agents parked at their goals, in `_conflict_key` order: the
+    elevator scan and each pair's grid scan."""
+    out: list[Conflict] = list(detect_elevator_conflicts(paths, graph))
+    for i, j in itertools.combinations(range(len(paths)), 2):
+        _pair_grid_conflicts(paths[i], paths[j], i, j, out)
     out.sort(key=_conflict_key)
     return out
 
 
-def _agent_grid_conflicts(paths: list[Path], k: int, others, horizon: int,
-                          out: list[Conflict]) -> None:
-    """Append agent k's vertex and edge conflicts with each other agent of
-    `others`: only k gets a timeline, its vertex at each time 0..horizon
-    (None inside a shaft, parked at its goal after arriving), and each other
-    path's steps, then its parked tail at the goal, are looked up in it."""
-    mine = paths[k]
+def _pair_grid_conflicts(mine: Path, path: Path, i: int, j: int, out: list[Conflict]) -> None:
+    """Append the vertex and edge conflicts of agents i < j, whose paths
+    are `mine` and `path`: i gets a timeline, its vertex at each time up to
+    the later of the two arrivals (None inside a shaft, parked at its goal
+    after arriving), and j's steps, then its parked tail at the goal, are
+    looked up in it."""
+    horizon = max(mine.cost, path.cost)
     at: list[Vertex | None] = [None] * (horizon + 1)
     for v, t in mine.steps:
         at[t] = v
     at[mine.cost:] = [mine.end] * (horizon + 1 - mine.cost)
-    for j in others:
-        if j == k:
-            continue
-        path = paths[j]
-        lo, hi = (j, k) if j < k else (k, j)
-        steps = path.steps
-        v, t = steps[0]
-        if at[t] == v:
-            out.append(VertexConflict(lo, hi, v, t))
-        for (v, t), (w, tw) in itertools.pairwise(steps):
-            u = at[tw]
-            if u == w:
-                out.append(VertexConflict(lo, hi, w, tw))
-            elif u == v and at[t] == w and v.floor == w.floor:  # a swap: j moves v->w, k w->v
-                out.append(EdgeConflict(j, k, v, w, t) if j < k else EdgeConflict(k, j, w, v, t))
-        end, cost = path.end, path.cost
-        if end in at[cost + 1:]:
-            out.extend(VertexConflict(lo, hi, end, t)
-                       for t in range(cost + 1, horizon + 1) if at[t] == end)
+    steps = path.steps
+    v, t = steps[0]
+    if at[t] == v:
+        out.append(VertexConflict(i, j, v, t))
+    for (v, t), (w, tw) in itertools.pairwise(steps):
+        u = at[tw]
+        if u == w:
+            out.append(VertexConflict(i, j, w, tw))
+        elif u == v and at[t] == w and v.floor == w.floor:  # a swap: j moves v->w, i w->v
+            out.append(EdgeConflict(i, j, w, v, t))
+    end, cost = path.end, path.cost
+    if end in at[cost + 1:]:
+        out.extend(VertexConflict(i, j, end, t)
+                   for t in range(cost + 1, horizon + 1) if at[t] == end)
 
 
 def validate(instance: Instance, paths: list[Path]) -> list[Conflict]:
@@ -444,41 +428,40 @@ class _Solver:
             self.interned[found.steps] = found
         return found
 
-    def _rescan(self, node: CTNode, agent_id: int, paths: list[Path]) -> list[Conflict]:
-        """Conflicts of `paths`, which `node.rides` summarises and which
-        differ only in agent_id's path from the plan of `node.conflicts`:
-        those conflicts without that agent, plus that agent's conflicts
-        with each other agent, per pair of paths from the solve's pair
-        memo. One one-agent scan fills the pairs the memo lacks."""
-        self.stats.scans += 1
-        k = agent_id
-        conflicts = [c for c in node.conflicts if c.i != k and c.j != k]
-        pairs, mine = self.pairs, id(paths[k])
-        keys = [(id(p), mine) if j < k else (mine, id(p)) for j, p in enumerate(paths)]
-        missing = [j for j, key in enumerate(keys) if j != k and key not in pairs]
-        if missing:
-            # a replan keeps most of a path, so pairs of distinct paths
-            # share conflicts; CT nodes share one object per distinct
-            # conflict of the solve
+    def _pair(self, paths: tuple[Path, ...], i: int, j: int) -> tuple[Conflict, ...]:
+        """The conflicts of agents i < j in `paths`, scanned once per solve
+        per pair of paths and kept. A replan keeps most of a path, so pairs
+        of distinct paths share conflicts; CT nodes share one object per
+        distinct conflict of the solve, and empty pairs share ()."""
+        mine, path = paths[i], paths[j]
+        key = (id(mine), id(path))
+        found = self.pairs.get(key)
+        if found is None:
+            out = pair_elevator_conflicts(i, j, self.rides.get(i, mine), self.rides.get(j, path))
+            _pair_grid_conflicts(mine, path, i, j, out)
             shared = self.shared_conflicts
-            found: dict[int, list[Conflict]] = {j: [] for j in missing}
-            for c in enumerate_conflicts(paths, self.graph, k, node.rides, missing):
-                found[c.i if c.j == k else c.j].append(shared.setdefault(c, c))
-            for j, cs in found.items():
-                pairs[keys[j]] = tuple(cs)  # empty pairs share ()
-        self.stats.pair_hits += len(paths) - 1 - len(missing)
-        for j, key in enumerate(keys):
+            found = self.pairs[key] = tuple([shared.setdefault(c, c) for c in out])
+        else:
+            self.stats.pair_hits += 1
+        return found
+
+    def _rescan(self, conflicts: list[Conflict], k: int, paths: tuple[Path, ...]) -> list[Conflict]:
+        """Conflicts of `paths`, which differ only in agent k's path from
+        the plan of `conflicts`: those conflicts without k, plus k's pairs
+        with each other agent."""
+        self.stats.scans += 1
+        out = [c for c in conflicts if c.i != k and c.j != k]
+        for j in range(len(paths)):
             if j != k:
-                conflicts += pairs[key]
-        conflicts.sort(key=_conflict_key)
-        return conflicts
+                out += self._pair(paths, j, k) if j < k else self._pair(paths, k, j)
+        out.sort(key=_conflict_key)
+        return out
 
     def _scan(self, node: CTNode) -> None:
-        """Give an unscanned child its own ride summaries and conflict list."""
+        """Give an unscanned child its own conflict list."""
         k = node.replanned
         if k is not None:
-            node.rides = self.rides.with_path(node.rides, k, node.paths[k])
-            node.conflicts = self._rescan(node, k, node.paths)
+            node.conflicts = self._rescan(node.conflicts, k, node.paths)
             node.replanned = None
 
     def _make_root(self) -> CTNode | None:
@@ -491,10 +474,11 @@ class _Solver:
                 return None
             paths.append(path)
             omegas.append(omega)
-        rides = tuple([self.rides.get(agent_id, path) for agent_id, path in enumerate(paths)])
-        conflicts = enumerate_conflicts(paths, self.graph, rides=rides)
+        conflicts = [c for i, j in itertools.combinations(range(len(paths)), 2)
+                     for c in self._pair(paths, i, j)]
+        conflicts.sort(key=_conflict_key)
         node = CTNode(tuple(paths), sum(p.cost for p in paths), tuple(omegas), conflicts,
-                      self._next_seq(), rides)
+                      self._next_seq())
         self.stats.generated += 1
         return node
 
@@ -551,14 +535,11 @@ class _Solver:
         finite."""
         agent_id, new_path = bypass
         paths = _with_entry(node.paths, agent_id, new_path)
-        candidate = CTNode(paths, node.g, node.omegas, node.conflicts, node.seq,
-                           self.rides.with_path(node.rides, agent_id, new_path))
-        conflicts = self._rescan(candidate, agent_id, paths)
+        conflicts = self._rescan(node.conflicts, agent_id, paths)
         if len(conflicts) >= node.conflict_count:
             return False
         node.paths = paths
         node.conflicts = conflicts
-        node.rides = candidate.rides
         self.stats.bypasses += 1
         return True
 
@@ -575,7 +556,7 @@ class _Solver:
             paths = _with_entry(node.paths, agent_id, path)
             children.append(CTNode(paths, node.g - node.paths[agent_id].cost + path.cost,
                                    _with_entry(node.omegas, agent_id, omega), node.conflicts,
-                                   self._next_seq(), node.rides, agent_id))
+                                   self._next_seq(), agent_id))
         return children
 
 

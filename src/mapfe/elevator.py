@@ -7,10 +7,15 @@ the closed window [t_s, t_g + |l_g - f| * t_floor]. Boarding overlaps and
 door presences inside such windows are the two elevator-conflict variants;
 a conflict's `sides()` are the bans that resolve it, one per agent.
 Each path takes at most one ride, so an agent's elevator usage is one
-`ElevatorUsage` or none, read from the path by `extract_ride`.
+`ElevatorUsage` or none, read from the path by `extract_ride`. Every
+elevator conflict is between two agents, so a pair of paths is the unit
+of the scan: `pair_elevator_conflicts` reads the pair's two summaries
+(ride and door presences, `RideSummaries`), and a whole-plan scan runs it
+over each pair.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .model import MultiFloorGraph, Vertex
@@ -118,21 +123,18 @@ def extract_ride(steps: list[tuple[Vertex, int]], graph: MultiFloorGraph, agent:
 
 class RideSummaries:
     """Each path's ride (stamped with its agent's id, or None) and door
-    presences, extracted once per solve. Summaries are keyed by `id(path)`,
-    because `Path` hashes by value in O(length), and the memo keeps every
-    path it has summarised alive, so an id is never reused; a path belongs
-    to one agent in a solve. Equal summaries are stored once: an agent's
-    replans mostly keep its ride, and paths with no ride and no door step
-    all share one summary. So are equal
-    plans' tuples of summaries (`with_path`), which CT nodes hold: a long
-    solve's nodes share a few hundred of them."""
+    presences, extracted once per memo. Summaries are keyed by `id(path)`,
+    because `Path` hashes by value in O(length); the caller keeps every
+    path it summarises alive while the memo lives (a solver keeps all of
+    its paths, `detect_elevator_conflicts` its argument), so an id is never
+    reused, and a path belongs to one agent. Equal summaries are stored
+    once: an agent's replans mostly keep its ride, and paths with no ride
+    and no door step all share one summary."""
 
     def __init__(self, graph: MultiFloorGraph):
         self.graph = graph
         self.by_path: dict[int, tuple] = {}
-        self.paths: list = []
         self.summaries: dict[tuple, tuple] = {}
-        self.tuples: dict[tuple, tuple] = {}
 
     def get(self, agent: int, path) -> tuple:
         """(ride or None, door presences) of agent's path; a presence is
@@ -144,74 +146,47 @@ class RideSummaries:
             presences = tuple([(e.id, v, t) for v, t in steps if (e := at(v)) is not None])
             summary = (extract_ride(steps, self.graph, agent), presences)
             summary = self.by_path[id(path)] = self.summaries.setdefault(summary, summary)
-            self.paths.append(path)
         return summary
 
-    def with_path(self, rides: tuple, agent: int, path) -> tuple:
-        """`rides`, a plan's summaries indexed by agent, with the agent's
-        entry taken from `path`."""
-        summary = self.get(agent, path)
-        if rides[agent] is summary:
-            return rides
-        out = rides[:agent] + (summary,) + rides[agent + 1:]
-        return self.tuples.setdefault(out, out)
 
+def pair_elevator_conflicts(i: int, j: int, ride_i: tuple, ride_j: tuple) -> list[ElevatorConflict]:
+    """The elevator conflicts of agents i < j, from their paths' summaries
+    (`RideSummaries.get`), per the two variants:
 
-def detect_elevator_conflicts(paths, graph: MultiFloorGraph, agent: int | None = None,
-                              rides: tuple | None = None, others=None) -> list[ElevatorConflict]:
-    """All elevator conflicts of a joint plan, per the two variants:
+    - boarding: both ride one elevator with overlapping busy intervals,
+      reported at the later boarding time;
+    - occupancy: one agent present at a door of the other's elevator k on
+      floor f at a time inside the rider's closed window
+      [t_s, t_g + |l_g-f|*t_floor], the rider listed first. Door steps of
+      the standing agent's own ride of k are the rider-vs-rider case and
+      are covered by the boarding variant instead.
 
-    - boarding: two usages of the same elevator with overlapping busy
-      intervals, reported at the later boarding time;
-    - occupancy: an agent present at a door of elevator k on floor f at a
-      time inside another rider's closed window [t_s, t_g + |l_g-f|*t_floor].
-      Door steps belonging to the standing agent's own ride of k are the
-      rider-vs-rider case and are covered by the boarding variant instead.
-
-    `paths` is a sequence of objects with a `steps` list of (Vertex, time),
-    indexed by agent id. With `agent` given, only the conflicts that
-    involve that agent are reported, and with `others` (ascending agent
-    ids) given too, only those with an agent of `others`. `rides` holds
-    each path's summary (`RideSummaries.get`), indexed like `paths`;
-    without it the summaries are extracted afresh. Results come in scan
-    order, by rider and then by the other agent, and a
-    one-agent scan keeps the full scan's order; `cbs.enumerate_conflicts`
-    sorts them into the solver's conflict order.
+    The boarding conflict comes first, then i's occupancy conflicts as the
+    rider, then j's; `cbs.enumerate_conflicts` sorts them into the
+    solver's conflict order.
     """
-    if rides is None:
-        memo = RideSummaries(graph)
-        rides = tuple([memo.get(a, path) for a, path in enumerate(paths)])
+    out: list[ElevatorConflict] = []
+    for rider, (u, _), other, (theirs, presences) in ((i, ride_i, j, ride_j), (j, ride_j, i, ride_i)):
+        if u is None:
+            continue
+        k = u.elevator
+        own = theirs if theirs is not None and theirs.elevator == k else None
+        if own is not None and rider == i and usages_overlap(u, own):
+            out.append(ElevatorConflict("boarding", i, j, k, max(u.t_s, own.t_s), u, own))
+        for e, v, t in presences:
+            if e == k and door_in_window(u, v.floor, t, own):
+                out.append(ElevatorConflict("occupancy", rider, other, k, t, u, None, v))
+    return out
 
-    conflicts: list[ElevatorConflict] = []
-    agents = range(len(paths))
-    if others is None:
-        others = agents
-    for i in agents:
-        u_i = rides[i][0]
-        if u_i is None:
-            continue
-        k = u_i.elevator
-        # with `agent` given, only its own pairs (with `others` only): all
-        # of them when it rides, else each other rider's pair with it
-        if agent is None:
-            partners = agents
-        elif agent == i:
-            partners = others
-        elif i in others:
-            partners = (agent,)
-        else:
-            continue
-        for j in partners:
-            if j == i:
-                continue
-            u_j, presences = rides[j]
-            own = u_j if u_j is not None and u_j.elevator == k else None
-            if own is not None and j > i and usages_overlap(u_i, own):
-                conflicts.append(ElevatorConflict("boarding", i, j, k, max(u_i.t_s, own.t_s), u_i, own))
-            for e, v, t in presences:
-                if e == k and door_in_window(u_i, v.floor, t, own):
-                    conflicts.append(ElevatorConflict("occupancy", i, j, k, t, u_i, None, v))
-    return conflicts
+
+def detect_elevator_conflicts(paths, graph: MultiFloorGraph) -> list[ElevatorConflict]:
+    """All elevator conflicts of a joint plan: `pair_elevator_conflicts`
+    of each pair of agents i < j, in pair order. `paths` is a sequence of
+    objects with a `steps` list of (Vertex, time), indexed by agent id."""
+    memo = RideSummaries(graph)
+    rides = [memo.get(a, path) for a, path in enumerate(paths)]
+    return [c for i, j in itertools.combinations(range(len(paths)), 2)
+            for c in pair_elevator_conflicts(i, j, rides[i], rides[j])]
 
 
 def ec_constraints(c: ElevatorConflict) -> tuple[tuple[int, tuple], tuple[int, tuple]]:

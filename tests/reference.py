@@ -536,14 +536,14 @@ def grid_conflicts(paths) -> list[tuple]:
     whole timelines, finished agents parked at their goals, sorted:
     ("vertex", i, j, v, t) when agents i < j stand on v at t, and ("edge",
     i, j, u, w, t) when i moves u->w while j moves w->u on one floor over
-    [t, t+1]."""
-    if len(paths) < 2:
-        return []
-    horizon = max(p.cost for p in paths)
-    where = [_timeline(p, horizon) for p in paths]
+    [t, t+1]. Each pair is scanned up to the later of its two arrivals, so
+    a pair's conflicts do not depend on the other paths: two paths that
+    end on one vertex meet there at every later time too, and only the
+    first of those, at the later arrival, is listed."""
     out = []
     for i, j in itertools.combinations(range(len(paths)), 2):
-        at_i, at_j = where[i], where[j]
+        horizon = max(paths[i].cost, paths[j].cost)
+        at_i, at_j = _timeline(paths[i], horizon), _timeline(paths[j], horizon)
         for t in range(horizon + 1):
             vi, vj = at_i[t], at_j[t]
             if vi == vj and vi is not None:

@@ -1,12 +1,13 @@
 """Work the solver does once per solve, and the incremental conflict lists.
 
-A child CT node replans one agent and rescans only that agent, and only
-once it reaches the top of the open list; its conflict list must equal a
-full `enumerate_conflicts`, order included, and the solver must expand
-the nodes a solver that scans every child at once expands. The search
-counters pinned below were produced by the full-rescan solver, so any
-drift in the search itself shows here.
+A child CT node replans one agent and looks up only that agent's pairs
+of paths, and only once it reaches the top of the open list; its
+conflict list must equal a full `enumerate_conflicts`, order included,
+and the solver must expand the nodes a solver that scans every child at
+once expands. The search counters pinned below were produced by the
+full-rescan solver, so any drift in the search itself shows here.
 """
+import itertools
 import random
 import subprocess
 import sys
@@ -17,9 +18,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mapfe
+from mapfe import elevator
 from mapfe.bench import ExperimentConfig, gen_instance
-from mapfe.cbs import SolverConfig, VertexConflict, _Solver, enumerate_conflicts, solve, validate
-from mapfe.elevator import detect_elevator_conflicts
+from mapfe.cbs import (SolverConfig, VertexConflict, _conflict_key, _pair_grid_conflicts, _Solver,
+                       enumerate_conflicts, solve, validate)
+from mapfe.elevator import RideSummaries, detect_elevator_conflicts, pair_elevator_conflicts
 from mapfe.model import Vertex, parse_map, parse_scenario, ride_visits
 from mapfe.sipp import ConstraintSet, Path as Plan
 
@@ -64,8 +67,8 @@ def test_incremental_conflicts_equal_a_full_scan(instance):
     # deferred scans and bypass candidates alike
     rescan = _Solver._rescan
 
-    def checked_rescan(self, node, agent_id, paths):
-        conflicts = rescan(self, node, agent_id, paths)
+    def checked_rescan(self, conflicts, k, paths):
+        conflicts = rescan(self, conflicts, k, paths)
         assert conflicts == enumerate_conflicts(paths, self.graph)
         return conflicts
 
@@ -106,27 +109,18 @@ def _grid_tuples(conflicts) -> list[tuple]:
           suppress_health_check=[HealthCheck.too_slow])
 @given(multi_floor_instances(agents=(2, 5)), st.integers(0, 2**32 - 1))
 def test_grid_scans_equal_the_pairwise_timeline_reference(instance, seed):
-    """The vertex and edge conflicts of the full scan, and of each one-agent
-    scan, equal the pairwise timeline scan's (`reference.grid_conflicts`)
+    """The vertex and edge conflicts of the full scan, and of each pair's
+    grid scan, equal the pairwise timeline scan's (`reference.grid_conflicts`)
     on random walks, each conflict listed once."""
     rng = random.Random(seed)
     graph = instance.graph
     paths = [_random_walk(rng, graph, agent) for agent in instance.agents]
     expected = grid_conflicts(paths)
     assert _grid_tuples(enumerate_conflicts(paths, graph)) == expected
-    for k in range(len(paths)):
-        assert _grid_tuples(enumerate_conflicts(paths, graph, k)) == \
-            [c for c in expected if k in c[1:3]]
-        for others in _subsets(len(paths), k):
-            assert _grid_tuples(enumerate_conflicts(paths, graph, k, others=others)) == \
-                [c for c in expected if k in c[1:3] and (c[1] in others or c[2] in others)]
-
-
-def _subsets(n: int, k: int) -> list[list[int]]:
-    """Ascending `others` subsets for agent k's scan: each other agent on
-    its own, and the other agents of even and of odd id."""
-    return ([[j] for j in range(n) if j != k]
-            + [[j for j in range(n) if j != k and j % 2 == parity] for parity in (0, 1)])
+    for i, j in itertools.combinations(range(len(paths)), 2):
+        found = []
+        _pair_grid_conflicts(paths[i], paths[j], i, j, found)
+        assert _grid_tuples(found) == [c for c in expected if c[1:3] == (i, j)]
 
 
 class _Enough(Exception):
@@ -176,10 +170,11 @@ def test_deferred_scans_expand_the_nodes_eager_scans_expand(instance):
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(multi_floor_instances(agents=(3, 6)))
-def test_one_agent_scans_equal_the_full_scans_filtered(instance):
+def test_pair_scans_equal_the_full_scans_filtered(instance):
     """On the plans of the CT nodes a plain CBS solve generates, each
-    agent's scan is the full scan's conflicts involving that agent, in the
-    full scan's order."""
+    pair's elevator scan is the full elevator scan's conflicts of that
+    pair, in its order, and the pair's grid and elevator scans together
+    are the full scan's conflicts of that pair."""
     graph = instance.graph
     plans = []
 
@@ -199,17 +194,15 @@ def test_one_agent_scans_equal_the_full_scans_filtered(instance):
         pass
     for paths in plans:
         full = enumerate_conflicts(paths, graph)
-        elevator = detect_elevator_conflicts(paths, graph)
-        for k in range(len(paths)):
-            assert enumerate_conflicts(paths, graph, k) == [c for c in full if k in (c.i, c.j)]
-            assert detect_elevator_conflicts(paths, graph, k) == \
-                [c for c in elevator if k in (c.i, c.j)]
-            for others in _subsets(len(paths), k):
-                # an occupancy conflict lists its rider first, whatever the ids
-                assert enumerate_conflicts(paths, graph, k, others=others) == \
-                    [c for c in full if k in (c.i, c.j) and (c.i in others or c.j in others)]
-                assert detect_elevator_conflicts(paths, graph, k, others=others) == \
-                    [c for c in elevator if k in (c.i, c.j) and (c.i in others or c.j in others)]
+        lifts = detect_elevator_conflicts(paths, graph)
+        rides = RideSummaries(graph)
+        for i, j in itertools.combinations(range(len(paths)), 2):
+            # an occupancy conflict lists its rider first, whatever the ids
+            ours = {i, j}
+            found = pair_elevator_conflicts(i, j, rides.get(i, paths[i]), rides.get(j, paths[j]))
+            assert found == [c for c in lifts if {c.i, c.j} == ours]
+            _pair_grid_conflicts(paths[i], paths[j], i, j, found)
+            assert sorted(found, key=_conflict_key) == [c for c in full if {c.i, c.j} == ours]
 
 
 def test_equal_step_sequences_are_one_path(flat3):
@@ -228,13 +221,39 @@ def test_equal_step_sequences_are_one_path(flat3):
     assert solver._plan(0, ConstraintSet()) is solver._plan(0, ConstraintSet())
 
 
-def test_one_agent_scan_sees_a_shared_start(flat3):
+def test_pair_scan_sees_a_shared_start(flat3):
     # no scenario starts two agents on one vertex, but a plan may
     paths = [Plan(((Vertex(1, 0, 0), 0), (Vertex(1, 1, 0), 1))),
              Plan(((Vertex(1, 0, 0), 0), (Vertex(1, 0, 1), 1)))]
     full = enumerate_conflicts(paths, flat3)
     assert full == [VertexConflict(0, 1, Vertex(1, 0, 0), 0)]
-    assert enumerate_conflicts(paths, flat3, 0) == enumerate_conflicts(paths, flat3, 1) == full
+    found = []
+    _pair_grid_conflicts(paths[0], paths[1], 0, 1, found)
+    assert found == full
+
+
+@pytest.mark.parametrize("runner_first", [False, True])
+def test_a_pair_scans_to_the_later_arrival_of_its_two_paths(flat3, runner_first):
+    # the runner reaches the parked agent's goal at t = 4, after every
+    # other path has ended (the parked agent's and a third at t = 1), so
+    # only a pair horizon of the later arrival of the two catches it,
+    # whichever of the two has the lower id
+    v = lambda x, y: Vertex(1, x, y)
+    parked = Plan(((v(0, 0), 0), (v(1, 0), 1)))
+    third = Plan(((v(2, 2), 0), (v(2, 1), 1)))
+    runner = Plan(((v(0, 2), 0), (v(0, 2), 1), (v(0, 1), 2), (v(0, 0), 3), (v(1, 0), 4),
+                   (v(2, 0), 5)))
+    plan = [runner, third, parked] if runner_first else [parked, third, runner]
+    scenario = "".join(f"1 {p.steps[0][0].x} {p.steps[0][0].y} 1 {p.end.x} {p.end.y}\n"
+                       for p in plan)
+    instance = parse_scenario(scenario, flat3)
+    expected = [VertexConflict(0, 2, v(1, 0), 4)]
+    assert validate(instance, plan) == expected
+    solver = _Solver(instance, SolverConfig())
+    paths = tuple(solver._intern(p) for p in plan)
+    for k in (0, 2):  # the pair looked up from either side, from an empty list
+        assert solver._rescan([], k, paths) == expected
+    assert solver._rescan(expected, 1, paths) == expected
 
 
 # (N, seed) -> per variant in ALL_VARIANTS order: (g, expanded, generated,
@@ -399,29 +418,32 @@ def test_solver_plans_once_per_constraint_set(monkeypatch):
     assert result.stats.plan_reuses > 0
 
 
-def test_a_scan_summarises_only_the_replanned_path(monkeypatch):
-    # a CT node keeps its paths' ride summaries, so the root summarises
-    # every path, each one-agent scan (a popped child or a bypass candidate)
-    # one path, and the goal certificate's full scan every path again
-    from mapfe.elevator import RideSummaries
+def test_each_path_is_summarised_once_per_solve(monkeypatch):
+    # the solve's ride summaries are kept per path, so each path of a
+    # scanned pair is summarised once, and the goal certificate's scan
+    # summarises every path of the plan again
     summarised = []
-    get = RideSummaries.get
+    extract = elevator.extract_ride
 
-    def counting(self, agent, path):
-        summarised.append(agent)
-        return get(self, agent, path)
+    def counting(steps, graph, agent):
+        summarised.append((agent, steps))
+        return extract(steps, graph, agent)
 
-    monkeypatch.setattr(RideSummaries, "get", counting)
+    monkeypatch.setattr(elevator, "extract_ride", counting)
     cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
                            tfloor=3, agents=[6], instances=1)
-    result = solve(gen_instance(cfg, 6, seed=777_004), SolverConfig(time_limit=60))
+    solver = _Solver(gen_instance(cfg, 6, seed=777_004), SolverConfig(time_limit=60))
+    result = solver.run()
     stats = result.stats
     assert result.status == "solved" and stats.bypasses > 0
-    assert len(summarised) == 6 + stats.scans + 6
+    scanned, certificate = summarised[:-6], summarised[-6:]
+    assert len(set(scanned)) == len(scanned) == len({p for key in solver.pairs for p in key})
+    assert {steps for _, steps in scanned} <= set(solver.interned)
+    assert certificate == [(a, p.steps) for a, p in enumerate(result.solution.paths)]
     assert 0 < stats.plan_time < stats.runtime
 
 
-# Drops the first conflict of every one-agent rescan, so the search reaches
+# Drops the first conflict of every rescan, so the search reaches
 # a goal node whose plan still has a conflict; run under -O, where asserts
 # are gone, the goal certificate must still refuse it.
 _DROPPING_RESCAN = """
@@ -430,13 +452,12 @@ if __debug__:
 from mapfe import cbs
 from mapfe.model import parse_map, parse_scenario
 
-full_scan = cbs.enumerate_conflicts
+rescan = cbs._Solver._rescan
 
-def dropping(paths, graph, agent=None, rides=None, others=None):
-    found = full_scan(paths, graph, agent, rides, others)
-    return found[1:] if agent is not None else found
+def dropping(self, conflicts, k, paths):
+    return rescan(self, conflicts, k, paths)[1:]
 
-cbs.enumerate_conflicts = dropping
+cbs._Solver._rescan = dropping
 graph = parse_map("type mapf-e\\nfloors 3\\nheight 1\\nwidth 3\\ntfloor 1\\n.E.\\n.E.\\n.E.\\n")
 instance = parse_scenario("1 0 0 2 2 0\\n3 0 0 2 0 0\\n", graph)
 cbs.solve(instance, cbs.SolverConfig(ec_enabled=False, mdde_enabled=False, time_limit=10))
