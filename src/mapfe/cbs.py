@@ -28,7 +28,8 @@ once, and a set is its own memo key by identity, so those branches share
 its plans and MDD-Es. Equal step sequences are one `Path` per solve
 (`_Solver._intern`), so a path's identity is a memo key. Every conflict is
 between two agents, so a pair of paths is the unit of the scan: a pair's
-grid conflicts (`_pair_grid_conflicts`) and elevator conflicts
+grid conflicts (`_pair_grid_conflicts`, on the lower agent's `_timeline`,
+built once per path) and elevator conflicts
 (`elevator.pair_elevator_conflicts`) are found once per solve and kept
 (`_Solver._pair`), for the root and every rescan alike. A child replans
 one agent, so it keeps its parent's conflicts that do not involve that
@@ -164,6 +165,7 @@ class SolveStats:
     joint_pairs: int = 0  # joint MDD-E pairs the classifications expanded
     plans: int = 0  # single-agent SIPP plans run by the solve
     plan_time: float = 0.0  # seconds inside those plans
+    heuristic_time: float = 0.0  # seconds building the grid index and the agents' heuristics
     plan_reuses: int = 0  # plan requests the solve's memo answered
     scans: int = 0  # rescans of a replanned agent's pairs: popped children, bypass candidates
     pair_hits: int = 0  # pair scans the solve's pair memo answered
@@ -229,30 +231,40 @@ def _with_entry(items, k: int, item) -> tuple:
 def enumerate_conflicts(paths: list[Path], graph: MultiFloorGraph) -> list[Conflict]:
     """Every vertex, edge, and elevator conflict of the joint plan, with
     finished agents parked at their goals, in `_conflict_key` order: the
-    elevator scan and each pair's grid scan."""
+    elevator scan and each pair's grid scan, on one timeline per agent."""
     out: list[Conflict] = list(detect_elevator_conflicts(paths, graph))
+    lines = [_timeline(path) for path in paths]
     for i, j in itertools.combinations(range(len(paths)), 2):
-        _pair_grid_conflicts(paths[i], paths[j], i, j, out)
+        _pair_grid_conflicts(lines[i], paths[j], i, j, out)
     out.sort(key=_conflict_key)
     return out
 
 
-def _pair_grid_conflicts(mine: Path, path: Path, i: int, j: int, out: list[Conflict]) -> None:
-    """Append the vertex and edge conflicts of agents i < j, whose paths
-    are `mine` and `path`: i gets a timeline, its vertex at each time up to
-    the later of the two arrivals (None inside a shaft, parked at its goal
-    after arriving), and j's steps, then its parked tail at the goal, are
-    looked up in it."""
-    horizon = max(mine.cost, path.cost)
-    at: list[Vertex | None] = [None] * (horizon + 1)
-    for v, t in mine.steps:
+def _timeline(path: Path) -> list[Vertex | None]:
+    """The path's vertex at each time up to its arrival, None inside a shaft."""
+    at: list[Vertex | None] = [None] * (path.cost + 1)
+    for v, t in path.steps:
         at[t] = v
-    at[mine.cost:] = [mine.end] * (horizon + 1 - mine.cost)
+    return at
+
+
+def _pair_grid_conflicts(at: list[Vertex | None], path: Path, i: int, j: int,
+                         out: list[Conflict]) -> None:
+    """Append the vertex and edge conflicts of agents i < j: i's `_timeline`
+    `at`, parked at its last vertex after it, and j's path, parked at its
+    end up to i's arrival when j arrives first. Once i is parked, only a
+    vertex conflict is possible: a swap needs i to move."""
+    last = len(at) - 1
+    parked = at[last]
     steps = path.steps
     v, t = steps[0]
     if at[t] == v:
         out.append(VertexConflict(i, j, v, t))
     for (v, t), (w, tw) in itertools.pairwise(steps):
+        if tw > last:
+            if w == parked:
+                out.append(VertexConflict(i, j, w, tw))
+            continue
         u = at[tw]
         if u == w:
             out.append(VertexConflict(i, j, w, tw))
@@ -260,8 +272,7 @@ def _pair_grid_conflicts(mine: Path, path: Path, i: int, j: int, out: list[Confl
             out.append(EdgeConflict(i, j, w, v, t))
     end, cost = path.end, path.cost
     if end in at[cost + 1:]:
-        out.extend(VertexConflict(i, j, end, t)
-                   for t in range(cost + 1, horizon + 1) if at[t] == end)
+        out.extend(VertexConflict(i, j, end, t) for t in range(cost + 1, last + 1) if at[t] == end)
 
 
 def validate(instance: Instance, paths: list[Path]) -> list[Conflict]:
@@ -324,15 +335,18 @@ class _Solver:
         self.t0 = time.perf_counter()  # the solve's clock includes the heuristics
         self.index = GridIndex(self.graph)
         self.heuristics = [cost_to_go(agent, self.graph, self.index) for agent in self.agents]
+        self.stats.heuristic_time = time.perf_counter() - self.t0
         self.rides = RideSummaries(self.graph)
         self.mdds = mdd_mod.MddECache(self.graph, self.agents, self.heuristics)
         self.steps: dict[tuple[Vertex, int], tuple[Vertex, int]] = {}
         # The solve's one path per distinct step sequence; a path belongs
         # to one agent (starts are distinct) and lives for the whole solve
         self.interned: dict[tuple, Path] = {}
-        # The conflicts between two paths, per (id of the lower agent's
-        # path, id of the higher agent's path)
-        self.pairs: dict[tuple[int, int], tuple[Conflict, ...]] = {}
+        # Each interned path's serial number and `_timeline`, per id of the path
+        self.lines: dict[int, tuple[int, list[Vertex | None]]] = {}
+        # The conflicts between two paths, per serials of the lower agent's
+        # path and the higher agent's, packed into one int (a small key)
+        self.pairs: dict[int, tuple[Conflict, ...]] = {}
         self.shared_conflicts: dict[Conflict, Conflict] = {}
         # Each agent's interned path, or None, per (agent, constraint set)
         self.plans: dict[tuple[int, ConstraintSet], Path | None] = {}
@@ -426,6 +440,7 @@ class _Solver:
             steps = self.steps
             found = Path(tuple([steps.setdefault(s, s) for s in path.steps]))
             self.interned[found.steps] = found
+            self.lines[id(found)] = (len(self.lines), _timeline(found))
         return found
 
     def _pair(self, paths: tuple[Path, ...], i: int, j: int) -> tuple[Conflict, ...]:
@@ -434,11 +449,12 @@ class _Solver:
         of distinct paths share conflicts; CT nodes share one object per
         distinct conflict of the solve, and empty pairs share ()."""
         mine, path = paths[i], paths[j]
-        key = (id(mine), id(path))
+        (serial, at), other = self.lines[id(mine)], self.lines[id(path)][0]
+        key = serial << 32 | other
         found = self.pairs.get(key)
         if found is None:
             out = pair_elevator_conflicts(i, j, self.rides.get(i, mine), self.rides.get(j, path))
-            _pair_grid_conflicts(mine, path, i, j, out)
+            _pair_grid_conflicts(at, path, i, j, out)
             shared = self.shared_conflicts
             found = self.pairs[key] = tuple([shared.setdefault(c, c) for c in out])
         else:

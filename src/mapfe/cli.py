@@ -162,6 +162,7 @@ def _cmd_solve(args) -> int:
           f"scans={stats.scans} peak_open={stats.peak_open} pair_hits={stats.pair_hits} "
           f"runtime_ms={stats.runtime * 1000.0:.3f} "
           f"plan_time_ms={stats.plan_time * 1000.0:.3f} "
+          f"heuristic_time_ms={stats.heuristic_time * 1000.0:.3f} "
           f"mdde_time_fraction={stats.mdde_time_fraction:.4f} "
           f"classify_calls={stats.classify_calls} label_hits={stats.label_hits} "
           f"joint_pairs={stats.joint_pairs} door_skips={stats.door_skips} "

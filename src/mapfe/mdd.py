@@ -117,7 +117,6 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
     levels: dict[int, set[MddENode]] = {0: {root}}
     edges: dict[MddENode, set[MddENode]] = {}
     count = 1
-    cross = agent.start_floor != agent.goal_floor
     goal_floor = agent.goal_floor
     succ, rides = heur.succ, heur.rides
 
@@ -139,7 +138,7 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
             if rode and v.floor != goal_floor:
                 continue  # an in-shaft door visit: the ride chain was added at boarding
             out = set()
-            for u, h_u in ((v, heur.value(v, rode)), *succ[rode][v]):  # the wait, then the moves
+            for u, h_u in ((v, heur.value(v, rode)), *succ[v]):  # the wait, then the moves
                 if h_u > slack:
                     continue
                 bans = vertex_bans.get(u)
@@ -155,7 +154,7 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
                 count += len(nxt) - size
                 if count > NODE_CAP:
                     raise MddSizeExceeded(f"MDD-E for agent {agent.id} exceeded {NODE_CAP} nodes")
-            if cross and not rode and (ride := rides[v]):
+            if not rode and (ride := rides.get(v)):
                 _add_ride(constraints, ride, n, d, add)
 
     # backward completability, one level at a time from the last (every

@@ -1,25 +1,27 @@
 """Safe-interval single-agent planner over the time dimension.
 
-Search states are (vertex, safe-interval index, rode-elevator flag); waits
-are implicit inside intervals. Boarding bans apply to the instant a ride
-starts (standing at a door stays legal), and a returned path parks at the
-goal forever, so an arrival is only accepted in the goal's last interval.
+Search states are (vertex, safe-interval index); waits are implicit inside
+intervals. An agent rides at most once, from its start floor to its goal
+floor, so a state needs no ride flag: the vertex's floor tells whether the
+agent has ridden. Boarding bans apply to the instant a ride starts
+(standing at a door stays legal), and a returned path parks at the goal
+forever, so an arrival is only accepted in the goal's last interval.
 
 Grid moves and heuristic distances come from a `GridIndex`, which a solve
 builds once and shares through its agents' heuristics: each vertex's
 4-neighbours, and one BFS distance field per source, so the field of an
 elevator door is computed once however many agents start on its floor.
 Each agent's heuristic is its move model, shared by the planner and the
-MDD-E builder: a successor table per ride state and a ride table, each
-filling an entry on its first read. Whether a ride breaks a constraint is
-one rule, `ConstraintSet.ride_block`, which both read as well.
+MDD-E builder: one successor table by vertex, which fills an entry on its
+first read, and the rides from its start-floor doors. Whether a ride
+breaks a constraint is one rule, `ConstraintSet.ride_block`, which both
+read as well.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 from .model import Agent, MultiFloorGraph, Vertex, ride_visits
@@ -221,34 +223,39 @@ class _Heuristic:
     Its distance fields come from `index`, which the agents of a solve
     share, so each door's field is computed once for all of them.
 
-    It is also the agent's move model. `succ[rode][v]` is v's grid moves in
-    that ride state that can still reach the goal, each with its
-    cost-to-go, in `GridIndex.moves` order. `rides[v]` is the `Ride` from v
-    to the goal floor, or () when v is no door; read it only for a vertex
-    an unboarded floor-crossing agent stands on. Both tables fill an entry
-    on its first read and keep it."""
+    It is also the agent's move model. An agent rides at most once, from
+    its start floor to its goal floor, so whether it has ridden is
+    `v.floor != start_floor` on every vertex it stands on outside a shaft.
+    `succ[v]` is v's grid moves that can still reach the goal, each with
+    its cost-to-go, in `GridIndex.moves` order; it fills an entry on its
+    first read and keeps it. `rides` maps each start-floor door to its
+    `Ride`, and is empty for an agent that stays on one floor. `horizon`
+    is the planner's horizon without its constraints' part."""
 
     def __init__(self, agent: Agent, graph: MultiFloorGraph, index: GridIndex | None = None):
-        self.graph = graph
         self.index = index if index is not None else GridIndex(graph)
         self.goal_floor = agent.goal_floor
         self.start_floor = agent.start_floor
         self.post: dict[Vertex, float] = self.index.distances(agent.goal)
         self.pre: dict[Vertex, float] = _NO_TABLE
+        self.rides: dict[Vertex, Ride] = {}
         if agent.start_floor != agent.goal_floor:
             best: dict[Vertex, float] = {}
             for e in graph.elevators:
-                ride = abs(agent.start_floor - agent.goal_floor) * e.t_floor
-                tail = self.post.get(graph.door(e.id, agent.goal_floor), INF) + ride
+                door = graph.door(e.id, agent.start_floor)
+                visits = tuple(ride_visits(graph, e.id, agent.start_floor, agent.goal_floor, 0))
+                ride = self.rides[door] = Ride(e.id, visits, self.post.get(visits[-1][0], INF))
+                tail = ride.h_target + visits[-1][1]
                 if tail == INF:
                     continue
-                for v, d in self.index.distances(graph.door(e.id, agent.start_floor)).items():
+                for v, d in self.index.distances(door).items():
                     val = d + tail
                     if val < best.get(v, INF):
                         best[v] = val
             self.pre = best
-        self.succ = tuple([_Table(partial(self._moves, rode)) for rode in (False, True)])
-        self.rides = _Table(self._ride)
+        self.succ = _Table(self._moves)
+        self.horizon = (graph.num_free_vertices() + 1 + (graph.floors - 1)
+                        * max([e.t_floor for e in graph.elevators] or [0]))
 
     def table(self, floor: int, rode: bool) -> dict[Vertex, float]:
         """Cost-to-go of the vertices of one floor in one ride state; a
@@ -262,17 +269,10 @@ class _Heuristic:
     def value(self, v: Vertex, rode: bool) -> float:
         return self.table(v.floor, rode).get(v, INF)
 
-    def _moves(self, rode: bool, v: Vertex) -> tuple[tuple[Vertex, float], ...]:
-        table = self.table(v.floor, rode)  # grid moves stay on v's floor
+    def _moves(self, v: Vertex) -> tuple[tuple[Vertex, float], ...]:
+        table = self.table(v.floor, v.floor != self.start_floor)  # grid moves stay on v's floor
         return tuple([(u, h) for u in self.index.moves.get(v, ())
                       if (h := table.get(u, INF)) < INF])
-
-    def _ride(self, v: Vertex) -> Ride | tuple[()]:
-        e = self.graph.elevator_at(v)
-        if e is None:
-            return ()
-        visits = tuple(ride_visits(self.graph, e.id, v.floor, self.goal_floor, 0))
-        return Ride(e.id, visits, self.value(visits[-1][0], True))
 
 
 def cost_to_go(agent: Agent, graph: MultiFloorGraph, index: GridIndex | None = None) -> _Heuristic:
@@ -282,6 +282,7 @@ def cost_to_go(agent: Agent, graph: MultiFloorGraph, index: GridIndex | None = N
 
 
 _ALWAYS_SAFE: tuple[Interval, ...] = ((0, INF),)
+_UNSEEN = (INF,)  # the `best` entry of a state not reached yet
 
 
 def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
@@ -295,46 +296,39 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
     heur = heuristic if heuristic is not None else _Heuristic(agent, graph)
     start, goal = agent.start, agent.goal
     h0 = heur.value(start, False)
-    if h0 == INF:
+    if h0 == INF or constraints.vertex_banned(start, 0):
         return None
-    horizon = (graph.num_free_vertices() + constraints.max_end()
-               + (graph.floors - 1) * max([e.t_floor for e in graph.elevators] or [0]) + 1)
+    horizon = heur.horizon + constraints.max_end()
     edge_bans = constraints.edge_bans
     # only vertices with bans get an entry: the others have one safe
     # interval, [0, inf), index 0
     safe = {v: safe_intervals(v, constraints) for v in constraints.vertex_bans}
     safe_get = safe.get
-
-    start_ivs = safe_get(start, _ALWAYS_SAFE)
-    start_idx = next((i for i, (lo, hi) in enumerate(start_ivs) if lo <= 0 <= hi), None)
-    if start_idx is None:
-        return None
     goal_idx = len(safe_get(goal, _ALWAYS_SAFE)) - 1
 
-    # a state is (vertex, safe-interval index, rode); parent links are
-    # (state, departure, elevator id or None for a grid move)
-    best: dict[tuple[Vertex, int, bool], int] = {(start, start_idx, False): 0}
+    # a state is (vertex, safe-interval index), keyed by the vertex alone
+    # in its first interval; its entry is (g, parent key, parent vertex,
+    # departure, the `Ride` taken or None for a grid move)
+    best: dict = {start: (0, None, None, 0, None)}
     best_get = best.get
-    parent: dict[tuple, tuple] = {}
-    # (f, -g, state...): a state is pushed again only with a smaller g,
-    # so no two entries tie on the whole tuple
-    heap: list[tuple] = [(h0, 0, start, start_idx, False)]
+    # (f, -g, vertex, interval index): a state is pushed again only with a
+    # smaller g, so no two entries tie on the whole tuple
+    heap: list[tuple] = [(h0, 0, start, 0)]
     push, pop = heapq.heappush, heapq.heappop
-    succ = heur.succ
-    rides = heur.rides if agent.start_floor != agent.goal_floor else None
+    succ, rides_get = heur.succ, heur.rides.get
 
     while heap:
-        _, neg_g, v, idx, rode = pop(heap)
+        _, neg_g, v, idx = pop(heap)
         g = -neg_g
-        state = (v, idx, rode)
-        if best[state] != g or g > horizon:
+        key = (v, idx) if idx else v
+        if best[key][0] != g or g > horizon:
             continue
         if idx == goal_idx and v == goal:
-            return _reconstruct(agent, graph, constraints, parent, state, g)
+            return _reconstruct(agent, constraints, best, key, g)
         ivs = safe_get(v)
         cur_hi = INF if ivs is None else ivs[idx][1]
 
-        for u, h_u in succ[rode][v]:
+        for u, h_u in succ[v]:
             u_ivs = safe_get(u)
             if u_ivs is None:  # no vertex ban: one interval, [0, inf)
                 dep = g
@@ -344,11 +338,9 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
                     if dep > cur_hi:
                         continue
                 arr = dep + 1
-                ustate = (u, 0, rode)
-                if arr < best_get(ustate, INF):
-                    best[ustate] = arr
-                    parent[ustate] = (state, dep, None)
-                    push(heap, (arr + h_u, -arr, u, 0, rode))
+                if arr < best_get(u, _UNSEEN)[0]:
+                    best[u] = (arr, key, v, dep, None)
+                    push(heap, (arr + h_u, -arr, u, 0))
                 continue
             for uidx, (lo, hi) in enumerate(u_ivs):
                 dep = g if g >= lo - 1 else lo - 1
@@ -358,80 +350,75 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
                 if dep > cur_hi or dep + 1 > hi:
                     continue
                 arr = dep + 1
-                ustate = (u, uidx, rode)
-                if arr < best_get(ustate, INF):
-                    best[ustate] = arr
-                    parent[ustate] = (state, dep, None)
-                    push(heap, (arr + h_u, -arr, u, uidx, rode))
+                ukey = (u, uidx) if uidx else u
+                if arr < best_get(ukey, _UNSEEN)[0]:
+                    best[ukey] = (arr, key, v, dep, None)
+                    push(heap, (arr + h_u, -arr, u, uidx))
 
-        if rides is not None and not rode and (ride := rides[v]):
+        ride = rides_get(v)  # a start-floor door, so the agent has not ridden
+        if ride is not None and ride.h_target < INF:
             e_id, visits, h_t = ride
             target, t_o = visits[-1]
-            for tidx, (lo, hi) in enumerate(safe_get(target, _ALWAYS_SAFE) if h_t < INF else ()):
+            for tidx, (lo, hi) in enumerate(safe_get(target, _ALWAYS_SAFE)):
                 dep = max(g, lo - t_o)
                 dep_hi = min(cur_hi, hi - t_o)
                 while dep <= dep_hi:
                     bumped = constraints.ride_block(e_id, v.floor, visits, dep)
                     if bumped is None:
                         arr = dep + t_o
-                        ustate = (target, tidx, True)
-                        if arr < best_get(ustate, INF):
-                            best[ustate] = arr
-                            parent[ustate] = (state, dep, e_id)
-                            push(heap, (arr + h_t, -arr, target, tidx, True))
+                        ukey = (target, tidx) if tidx else target
+                        if arr < best_get(ukey, _UNSEEN)[0]:
+                            best[ukey] = (arr, key, v, dep, ride)
+                            push(heap, (arr + h_t, -arr, target, tidx))
                         break
                     dep = bumped
     return None
 
 
-def _reconstruct(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
-                 parent: dict, state: tuple, goal_g: int) -> Path:
-    """The searched path to the goal state, in one backward pass over the
-    parent links, retimed at equal cost so that all waiting pools at the
-    start vertex: the agent departs as late as possible and never loiters
-    en route (in particular not at elevator doors). When the retimed path
-    breaks a constraint, the path as searched, waits where they fell."""
-    edge_bans = constraints.edge_bans
-    links = []  # (from, to, searched departure, elevator id or None), goal first
-    late: list[tuple[Vertex, int]] = []  # the retimed steps after the start's, reversed
-    legal = True
+def _reconstruct(agent: Agent, constraints: ConstraintSet, best: dict, key, goal_g: int) -> Path:
+    """The searched path to the goal state, retimed at equal cost so that
+    all waiting pools at the start vertex: the agent departs as late as
+    possible and never loiters en route (in particular not at elevator
+    doors). One backward walk over the parent links retimes the steps and
+    checks them against the bans; when the retimed path breaks one, a
+    second walk gives the path as searched, waits where they fell."""
+    edge_bans, vertex_bans = constraints.edge_bans, constraints.vertex_bans
+    steps: list[tuple[Vertex, int]] = []  # the steps after the start's, reversed
     t = goal_g  # the retimed arrival of the link in hand
-    while state in parent:
-        prev, dep, elevator = parent[state]
-        v, w = prev[0], state[0]
-        links.append((v, w, dep, elevator))
-        if elevator is None:
-            late.append((w, t))
+    w, entry = agent.goal, best[key]
+    while entry[1] is not None:
+        _, prev, v, _, ride = entry
+        if ride is None:
+            steps.append((w, t))
+            if vertex_bans and (ivs := vertex_bans.get(w)) and interval_contains(ivs, t):
+                break
             t -= 1
             if edge_bans and (v, w, t) in edge_bans:
-                legal = False
+                break
         else:
-            t -= abs(w.floor - v.floor) * graph.elevators[elevator].t_floor
-            late.extend(reversed(ride_visits(graph, elevator, v.floor, w.floor, t)))
-            if constraints.boarding_banned(elevator, v.floor, t):
-                legal = False
-        state = prev
-    if t < 0:
-        raise RuntimeError(f"agent {agent.id}: the searched moves take longer than "
-                           f"the goal arrival at {goal_g}")
-    start = agent.start
-    vertex_bans = constraints.vertex_bans
-    if legal and vertex_bans:
-        legal = not any(lo <= t and hi >= 0 for lo, hi in vertex_bans.get(start, ())) and not any(
-            lo <= tv <= hi for v, tv in late for lo, hi in vertex_bans.get(v, ()))
-    if legal:
-        late.extend((start, tv) for tv in range(t, -1, -1))
-        late.reverse()
-        return Path(tuple(late))
+            t -= ride.visits[-1][1]
+            steps.extend((door, t + offset) for door, offset in reversed(ride.visits))
+            if constraints.ride_block(ride.elevator, v.floor, ride.visits, t) is not None:
+                break
+        w, entry = v, best[prev]
+    else:
+        if t < 0:
+            raise RuntimeError(f"agent {agent.id}: the searched moves take longer than "
+                               f"the goal arrival at {goal_g}")
+        if not any(lo <= t and hi >= 0 for lo, hi in vertex_bans.get(agent.start, ())):
+            steps.extend((agent.start, tv) for tv in range(t, -1, -1))
+            return Path(tuple(reversed(steps)))
 
-    steps: list[tuple[Vertex, int]] = [(start, 0)]
-    for v, w, dep, elevator in reversed(links):
-        steps.extend((v, tv) for tv in range(steps[-1][1] + 1, dep + 1))
-        if elevator is None:
+    steps.clear()
+    w, entry = agent.goal, best[key]
+    while entry[1] is not None:
+        _, prev, v, dep, ride = entry
+        if ride is None:
             steps.append((w, dep + 1))
         else:
-            steps.extend(ride_visits(graph, elevator, v.floor, w.floor, dep))
-    if steps[-1][1] != goal_g:
-        raise RuntimeError(f"agent {agent.id}: reconstructed path costs {steps[-1][1]}, "
-                           f"but the search reached the goal at {goal_g}")
-    return Path(tuple(steps))
+            steps.extend((door, dep + offset) for door, offset in reversed(ride.visits))
+        entry = best[prev]
+        steps.extend((v, tv) for tv in range(dep, entry[0], -1))  # the waits at v
+        w = v
+    steps.append((agent.start, 0))
+    return Path(tuple(reversed(steps)))

@@ -34,6 +34,11 @@ def test_solve_prints_cost_paths_and_stats(golden_files, capsys):
     fields = lines[3].split()
     assert fields[-2].startswith("mdd_reuses=") and fields[-1] == "distance_fields=4"
     assert fields[-4].startswith("mdd_builds=") and fields[-3].startswith("mdd_shared=")
+    # the heuristics are built inside the solve's clock, before any plan
+    names = [field.split("=")[0] for field in fields[1:]]
+    assert names[names.index("plan_time_ms") + 1] == "heuristic_time_ms"
+    values = dict(field.split("=") for field in fields[1:])
+    assert 0 < float(values["heuristic_time_ms"]) <= float(values["runtime_ms"])
 
 
 def test_joint_pairs_count_the_joint_search_and_read_0_without_mdde(tmp_path, capsys):

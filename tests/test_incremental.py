@@ -21,7 +21,7 @@ import mapfe
 from mapfe import elevator
 from mapfe.bench import ExperimentConfig, gen_instance
 from mapfe.cbs import (SolverConfig, VertexConflict, _conflict_key, _pair_grid_conflicts, _Solver,
-                       enumerate_conflicts, solve, validate)
+                       _timeline, enumerate_conflicts, solve, validate)
 from mapfe.elevator import RideSummaries, detect_elevator_conflicts, pair_elevator_conflicts
 from mapfe.model import Vertex, parse_map, parse_scenario, ride_visits
 from mapfe.sipp import ConstraintSet, Path as Plan
@@ -119,7 +119,7 @@ def test_grid_scans_equal_the_pairwise_timeline_reference(instance, seed):
     assert _grid_tuples(enumerate_conflicts(paths, graph)) == expected
     for i, j in itertools.combinations(range(len(paths)), 2):
         found = []
-        _pair_grid_conflicts(paths[i], paths[j], i, j, found)
+        _pair_grid_conflicts(_timeline(paths[i]), paths[j], i, j, found)
         assert _grid_tuples(found) == [c for c in expected if c[1:3] == (i, j)]
 
 
@@ -201,7 +201,7 @@ def test_pair_scans_equal_the_full_scans_filtered(instance):
             ours = {i, j}
             found = pair_elevator_conflicts(i, j, rides.get(i, paths[i]), rides.get(j, paths[j]))
             assert found == [c for c in lifts if {c.i, c.j} == ours]
-            _pair_grid_conflicts(paths[i], paths[j], i, j, found)
+            _pair_grid_conflicts(_timeline(paths[i]), paths[j], i, j, found)
             assert sorted(found, key=_conflict_key) == [c for c in full if {c.i, c.j} == ours]
 
 
@@ -228,7 +228,7 @@ def test_pair_scan_sees_a_shared_start(flat3):
     full = enumerate_conflicts(paths, flat3)
     assert full == [VertexConflict(0, 1, Vertex(1, 0, 0), 0)]
     found = []
-    _pair_grid_conflicts(paths[0], paths[1], 0, 1, found)
+    _pair_grid_conflicts(_timeline(paths[0]), paths[1], 0, 1, found)
     assert found == full
 
 
@@ -437,7 +437,8 @@ def test_each_path_is_summarised_once_per_solve(monkeypatch):
     stats = result.stats
     assert result.status == "solved" and stats.bypasses > 0
     scanned, certificate = summarised[:-6], summarised[-6:]
-    assert len(set(scanned)) == len(scanned) == len({p for key in solver.pairs for p in key})
+    assert len(set(scanned)) == len(scanned) == len({p for key in solver.pairs
+                                                     for p in divmod(key, 1 << 32)})
     assert {steps for _, steps in scanned} <= set(solver.interned)
     assert certificate == [(a, p.steps) for a, p in enumerate(result.solution.paths)]
     assert 0 < stats.plan_time < stats.runtime

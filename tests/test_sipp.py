@@ -151,33 +151,30 @@ def test_successor_table_is_the_filtered_grid_moves():
         agent, g, _ = _random_case(rng)
         heur = cost_to_go(agent, g, GridIndex(g))
         for v in g.vertices():
-            for rode in (False, True):
-                table = heur.table(v.floor, rode)
-                expected = tuple((u, table[u]) for u in heur.index.moves[v] if u in table)
-                assert heur.succ[rode][v] == expected
-                assert heur.succ[rode][v] is heur.succ[rode][v]  # filled once
+            # off a shaft, the agent has ridden exactly when it is off its start floor
+            table = heur.table(v.floor, v.floor != agent.start_floor)
+            expected = tuple((u, table[u]) for u in heur.index.moves[v] if u in table)
+            assert heur.succ[v] == expected
+            assert heur.succ[v] is heur.succ[v]  # filled once
 
 
 def test_ride_table_holds_each_door_ride_to_the_goal_floor():
     rng = random.Random(98)
     doors = 0
     for _ in range(60):
-        agent, g, _ = _random_case(rng)
-        if agent.start_floor == agent.goal_floor:
-            continue
+        agent, g, _ = _ride_case(rng)  # 1-2 elevators
         heur = cost_to_go(agent, g, GridIndex(g))
-        for v in g.vertices():
+        if agent.start_floor == agent.goal_floor:
+            assert heur.rides == {}
+            continue
+        assert set(heur.rides) == {g.door(e.id, agent.start_floor) for e in g.elevators}
+        for v, ride in heur.rides.items():
             e = g.elevator_at(v)
-            if e is None:
-                assert heur.rides[v] == ()
-            elif v.floor == agent.start_floor:
-                ride = heur.rides[v]
-                visits = tuple(ride_visits(g, e.id, v.floor, agent.goal_floor, 0))
-                assert ride.elevator == e.id and ride.visits == visits
-                assert visits[-1][0] == g.door(e.id, agent.goal_floor)
-                assert ride.h_target == heur.value(visits[-1][0], True)
-                assert heur.rides[v] is ride  # filled once
-                doors += 1
+            visits = tuple(ride_visits(g, e.id, v.floor, agent.goal_floor, 0))
+            assert ride.elevator == e.id and ride.visits == visits
+            assert visits[-1][0] == g.door(e.id, agent.goal_floor)
+            assert ride.h_target == heur.value(visits[-1][0], True)
+            doors += 1
     assert doors > 10
 
 
@@ -192,6 +189,61 @@ def _ride_map(rng):
     return parse_map(f"type mapf-e\nfloors {floors}\nheight 2\nwidth {width}\n"
                      f"tfloor {rng.randint(1, 3)}\n{overrides}"
                      + (row + "\n" + "." * width + "\n") * floors)
+
+
+def _ride_case(rng):
+    """An agent of a `_ride_map`, with random vertex bans (half of them on
+    doors, in-shaft ones included), edge bans and boarding bans."""
+    g = _ride_map(rng)
+    vertices = list(g.vertices())
+    doors = [v for v in vertices if g.elevator_at(v) is not None]
+    free = [v for v in vertices if g.elevator_at(v) is None]
+    start, goal = rng.sample(free, 2)
+    cs = ConstraintSet()
+    for _ in range(rng.randint(0, 6)):
+        lo = rng.randint(1, 12)
+        v = rng.choice(doors if rng.random() < 0.5 else vertices)
+        cs = cs.with_ban(("vertex", v, lo, lo + rng.randint(0, 3)))
+    for _ in range(rng.randint(0, 3)):
+        v = rng.choice(vertices)
+        moves = [u for u in vertices if u.floor == v.floor and abs(u.x - v.x) + abs(u.y - v.y) == 1]
+        cs = cs.with_ban(("edge", v, rng.choice(moves), rng.randint(0, 10)))
+    for _ in range(rng.randint(0, 2)):
+        lo = rng.randint(0, 8)
+        cs = cs.with_ban(("boarding", rng.choice(g.elevators).id, rng.randint(1, g.floors),
+                          lo, lo + rng.randint(0, 5)))
+    return Agent(0, start, goal), g, cs
+
+
+# SHA-256 of the steps `plan` returns over 300 `_ride_case`s drawn with
+# random.Random(2026): 2-4 floors and 1-2 elevators, so it pins the choice
+# between two elevators and rides that pass in-shaft doors. Recorded before
+# the planner's states dropped the ride flag.
+PINNED_RIDE_DIGEST = "ad7ed72ea8c2c8f7de879308ca6305c46fc67e72887734aceadad4af9a8c025b"
+
+
+def test_equal_cost_choices_between_elevators_are_pinned():
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    seen = {"rides": 0, "two_elevators": 0, "in_shaft": 0, "delayed": 0}
+    for _ in range(300):
+        agent, g, cs = _ride_case(rng)
+        horizon = g.num_free_vertices() + cs.max_end() + 3 * g.floors + 4
+        path = plan(agent, g, cs)
+        assert (None if path is None else path.cost) == time_expanded_plan(agent, g, cs, horizon)
+        line = "none" if path is None else " ".join(
+            f"{v.floor},{v.x},{v.y}@{t}" for v, t in path.steps)
+        digest.update(line.encode() + b"\n")
+        if path is None:
+            continue
+        _assert_respects(path, g, cs)
+        seen["delayed"] += path.cost > plan(agent, g, ConstraintSet()).cost
+        floors = {v.floor for v, _ in path.steps}
+        seen["rides"] += len(floors) > 1
+        seen["two_elevators"] += len(floors) > 1 and len(g.elevators) == 2
+        seen["in_shaft"] += len(floors) > 2
+    assert min(seen.values()) > 5, seen
+    assert digest.hexdigest() == PINNED_RIDE_DIGEST
 
 
 def test_ride_block_clears_exactly_the_departures_the_reference_allows():
