@@ -19,13 +19,14 @@ index (`sipp.GridIndex`: neighbour tuples and BFS distance fields, each
 field computed once for every agent that needs it) is built when the
 solver is, each agent's unconstrained heuristic is built once from it and
 shared by every replan and MDD-E of that agent, each (agent, constraint
-set) is planned once (`_Solver.plans`) and each MDD-E built once per
+set) is planned once (`_Solver.plans`) and each MDD-E made once per
 (agent, cost, constraint set) (`mdd.MddECache`), both kept for the rest
 of the solve, and each path's ride and door presences are extracted once
 (`elevator.RideSummaries`). Sibling subtrees keep adding the same ban to
 the same parent set; `ConstraintSet` derives each (parent, ban) child
 once, and a set is its own memo key by identity, so those branches share
-its plans and MDD-Es. Equal step sequences are one `Path` per solve
+its plans and MDD-Es. A child set's MDD-E at the cost its parent set's
+has is pruned from that one rather than built. Equal step sequences are one `Path` per solve
 (`_Solver._intern`), so a path's identity is a memo key. Every conflict is
 between two agents, so a pair of paths is the unit of the scan: a pair's
 grid conflicts (`_pair_grid_conflicts`, on the lower agent's `_timeline`,
@@ -170,8 +171,10 @@ class SolveStats:
     scans: int = 0  # rescans of a replanned agent's pairs: popped children, bypass candidates
     pair_hits: int = 0  # pair scans the solve's pair memo answered
     peak_open: int = 0  # the largest open-list size
-    mdd_builds: int = 0  # MDD-Es built by the solve
-    mdd_shared: int = 0  # builds whose diagram equals an earlier one of the solve
+    mdd_builds: int = 0  # MDD-Es made by the solve, built or derived
+    mdd_derived: int = 0  # of those, derived from the diagram of the set's parent
+    mdd_build_time: float = 0.0  # seconds making them
+    mdd_shared: int = 0  # made MDD-Es that equal an earlier one of the solve
     mdd_reuses: int = 0  # MDD-E requests the solve's memo answered
     distance_fields: int = 0  # grid BFS fields the solve computed
     door_skips: int = 0  # door vertex conflicts selection passed over (`_dominated`)
@@ -394,6 +397,8 @@ class _Solver:
         self.stats.runtime = time.perf_counter() - self.t0
         self.stats.solved = status == "solved"
         self.stats.mdd_builds = self.mdds.builds
+        self.stats.mdd_derived = self.mdds.derived
+        self.stats.mdd_build_time = self.mdds.build_time
         self.stats.mdd_shared = self.mdds.shared
         self.stats.mdd_reuses = self.mdds.reuses
         self.stats.distance_fields = len(self.index.fields)

@@ -167,6 +167,7 @@ def _cmd_solve(args) -> int:
           f"classify_calls={stats.classify_calls} label_hits={stats.label_hits} "
           f"joint_pairs={stats.joint_pairs} door_skips={stats.door_skips} "
           f"plans={stats.plans} plan_reuses={stats.plan_reuses} "
+          f"mdd_build_time_ms={stats.mdd_build_time * 1000.0:.3f} mdd_derived={stats.mdd_derived} "
           f"mdd_builds={stats.mdd_builds} mdd_shared={stats.mdd_shared} "
           f"mdd_reuses={stats.mdd_reuses} "
           f"distance_fields={stats.distance_fields}")

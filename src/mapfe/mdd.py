@@ -6,15 +6,19 @@ with the ride it has taken so far (sentinels -1 before any ride). Keeping
 the ride annotation in the node identity is what lets the two-agent product
 prune boarding overlaps and door presences that a plain MDD cannot see.
 
-An MDD-E depends only on (agent, cost, constraint set), so a solve builds
+An MDD-E depends only on (agent, cost, constraint set), so a solve makes
 each one once (`MddECache`) and stores every node, level and successor
-tuple once. Many constraint sets give equal diagrams; those builds return
-the first such diagram, so within a solve a diagram is one object, and an
-`MddE` (hashed by identity) is its own memo key. `classify` takes a
-conflict and its two diagrams. Each agent's side of the conflict is the
-`ConstraintSet` ban of its CT child in a plain split (`c.sides()`), so
-the classifier tests bans and never a conflict's kind: any conflict with
-`sides()` is classified by this code. It first asks each agent's own
+tuple once; a build makes each node once and interns it as it is made.
+A CT child that replans an agent at the same cost adds one ban to the
+parent's set, and its diagram is the parent's pruned of the nodes and
+edges that break the ban (`_derive`), the incremental MDD update of ICBS
+(Boyarski et al., IJCAI 2015). Many constraint sets give equal diagrams;
+those return the first such diagram, so within a solve a diagram is one
+object, and an `MddE` (hashed by identity) is its own memo key.
+`classify` takes a conflict and its two diagrams. Each agent's side of
+the conflict is the `ConstraintSet` ban of its CT child in a plain split
+(`c.sides()`), so the classifier tests bans and never a conflict's kind:
+any conflict with `sides()` is classified by this code. It first asks each agent's own
 MDD-E whether every cost-d path breaks that agent's ban (`_unavoidable`,
 the ICBS width-1 test widened to elevator conflicts); only the other
 sides are searched in the joint product, which expands pairs on demand,
@@ -34,12 +38,13 @@ ride (`MddE.ride`).
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .elevator import ElevatorUsage, door_in_window, usages_overlap
 from .model import Agent, MultiFloorGraph, Vertex
-from .sipp import ConstraintSet, Path, Ride, _Heuristic, interval_contains
+from .sipp import INF, ConstraintSet, Path, _Heuristic, interval_contains
 
 CARDINAL = "cardinal"
 SEMI_CARDINAL = "semi-cardinal"
@@ -95,114 +100,150 @@ class MddE:
 
 
 def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
-                graph: MultiFloorGraph, heuristic=None) -> MddE:
+                graph: MultiFloorGraph, heuristic=None, nodes=None) -> MddE:
     """All cost-d paths of one agent under its constraints, as a leveled
     DAG. Forward timed reachability is intersected with backward
     completability, so every kept node sits on a root-to-goal path of cost
     exactly d (an arrival at d, not a goal wait). `heuristic` is the
     agent's `sipp.cost_to_go`, built here when not given: the diagram reads
     the same tables of grid moves and rides as `sipp.plan`, and keeps a
-    ride when `ConstraintSet.ride_block` clears its departure."""
+    ride when `ConstraintSet.ride_block` clears its departure. `nodes`
+    interns each node as it is made (`MddECache.nodes`)."""
     heur = heuristic if heuristic is not None else _Heuristic(agent, graph)
     vertex_bans, edge_bans = constraints.vertex_bans, constraints.edge_bans
-    goal_bans = vertex_bans.get(agent.goal, ())
-    if any(hi >= d for _, hi in goal_bans):
-        return MddE(agent, d, {}, {}, graph)  # parking at the goal is blocked
-
-    root = MddENode(agent.start, 0, -1, -1)
-    if constraints.vertex_banned(agent.start, 0) or heur.value(agent.start, False) > d:
+    start, goal = agent.start, agent.goal
+    if (any(hi >= d for _, hi in vertex_bans.get(goal, ()))  # parking at the goal is blocked
+            or constraints.vertex_banned(start, 0) or heur.value(start, False) > d):
         return MddE(agent, d, {}, {}, graph)
-    # levels and successor sets stay unordered until the final sort, so
-    # the forward pass may visit a level in any order
-    levels: dict[int, set[MddENode]] = {0: {root}}
-    edges: dict[MddENode, set[MddENode]] = {}
+    intern = (nodes if nodes is not None else {}).setdefault
+    root = MddENode(start, 0, -1, -1)
+    root = intern(root, root)
+    # per level, the nodes of each ride state (elevator, board_time) by
+    # vertex, so each node is made once; in-shaft door visits are left out,
+    # since their one successor is set when the ride is
+    states: list[dict] = [{(-1, -1): {start: root}}] + [{} for _ in range(d)]
+    outs: list[list] = [[] for _ in range(d)]  # per level below d: (node, successor list)
     count = 1
     goal_floor = agent.goal_floor
     succ, rides = heur.succ, heur.rides
-
-    def add(src: MddENode, dst: MddENode) -> None:
-        nonlocal count
-        if dst not in levels.setdefault(dst.time, set()):
-            levels[dst.time].add(dst)
-            count += 1
-            if count > NODE_CAP:
-                raise MddSizeExceeded(f"MDD-E for agent {agent.id} exceeded {NODE_CAP} nodes")
-        edges.setdefault(src, set()).add(dst)
-
+    unboarded = heur.table(agent.start_floor, False)
     for t in range(d):
         slack = d - (t + 1)  # the most cost-to-go a level-(t+1) node may have
-        nxt = levels.setdefault(t + 1, set())
-        for n in levels.get(t, ()):
-            v = n.vertex
-            rode = n.elevator != -1
-            if rode and v.floor != goal_floor:
-                continue  # an in-shaft door visit: the ride chain was added at boarding
-            out = set()
-            for u, h_u in ((v, heur.value(v, rode)), *succ[v]):  # the wait, then the moves
-                if h_u > slack:
-                    continue
-                bans = vertex_bans.get(u)
-                if bans and interval_contains(bans, t + 1):
-                    continue
-                if edge_bans and u != v and (v, u, t) in edge_bans:
-                    continue
-                out.add(MddENode(u, t + 1, n.elevator, n.board_time))
-            if out:
-                edges[n] = out
-                size = len(nxt)
-                nxt |= out
-                count += len(nxt) - size
-                if count > NODE_CAP:
-                    raise MddSizeExceeded(f"MDD-E for agent {agent.id} exceeded {NODE_CAP} nodes")
-            if not rode and (ride := rides.get(v)):
-                _add_ride(constraints, ride, n, d, add)
+        nxt_states = states[t + 1]
+        for state, group in states[t].items():
+            elevator, board = state
+            table = unboarded if elevator == -1 else heur.post
+            nxt = nxt_states.setdefault(state, {})
+            for v, n in group.items():
+                out = []
+                for u, h_u in ((v, table.get(v, INF)), *succ[v]):  # the wait, then the moves
+                    if h_u > slack:
+                        continue
+                    bans = vertex_bans.get(u)
+                    if bans and interval_contains(bans, t + 1):
+                        continue
+                    if edge_bans and u != v and (v, u, t) in edge_bans:
+                        continue
+                    m = nxt.get(u)
+                    if m is None:
+                        m = MddENode(u, t + 1, elevator, board)
+                        m = nxt[u] = intern(m, m)
+                        count += 1
+                    out.append(m)
+                if elevator == -1 and (ride := rides.get(v)):
+                    e_id, visits, _ = ride
+                    if (t + visits[-1][1] <= d
+                            and constraints.ride_block(e_id, v.floor, visits, t) is None):
+                        chain = out
+                        for door, offset in visits:
+                            m = MddENode(door, t + offset, e_id, t)
+                            m = intern(m, m)
+                            chain.append(m)
+                            if door.floor == goal_floor:
+                                states[t + offset][(e_id, t)] = {door: m}
+                            else:  # inside the shaft: its one successor is the next door
+                                chain = []
+                                outs[t + offset].append((m, chain))
+                        count += len(visits)
+                if out:
+                    outs[t].append((n, out))
+        if count > NODE_CAP:
+            raise MddSizeExceeded(f"MDD-E for agent {agent.id} exceeded {NODE_CAP} nodes")
 
-    # backward completability, one level at a time from the last (every
-    # edge goes forward in time), excluding a final wait at the goal
+    ends = [m for group in states[d].values() if (m := group.get(goal)) is not None]
+    return _completable(agent, d, graph, root, ends, outs)
+
+
+def _completable(agent: Agent, d: int, graph: MultiFloorGraph, root: MddENode,
+                 ends: list[MddENode], outs: list[list]) -> MddE:
+    """The diagram of the forward-reached nodes that complete a cost-d
+    path: `ends` are the level-d goal nodes and `outs[t]` the level-t nodes
+    with their successor lists. Backward one level at a time from the last
+    (every edge goes forward in time), excluding a final wait at the goal;
+    survivors are marked by identity, and levels and successors sorted."""
     goal = agent.goal
-    good = {n for n in levels.get(d, ()) if n.vertex == goal}
-    kept_levels = [(d, tuple(sorted(good)))] if good else []
-    final_edges: dict[MddENode, tuple[MddENode, ...]] = {}
+    ends.sort()
+    good = set(map(id, ends))
+    kept_levels = [(d, tuple(ends))] if ends else []
+    edges: dict[MddENode, tuple[MddENode, ...]] = {}
     for t in range(d - 1, -1, -1):
         level = []
-        for n in levels.get(t, ()):
-            kept = [m for m in edges.get(n, ()) if m in good]
+        for n, out in outs[t]:
+            kept = [m for m in out if id(m) in good]
             if t == d - 1 and n.vertex == goal:
                 kept = [m for m in kept if m.vertex != goal]  # that prefix costs d-1, not d
             if kept:
-                final_edges[n] = tuple(sorted(kept))
+                if len(kept) > 1:
+                    kept.sort()
+                edges[n] = tuple(kept)
                 level.append(n)
         if level:
-            good.update(level)
-            kept_levels.append((t, tuple(sorted(level))))  # gaps are in-shaft times
-    if root not in good:
+            good.update(map(id, level))
+            if len(level) > 1:
+                level.sort()
+            kept_levels.append((t, tuple(level)))  # gaps are in-shaft times
+    if id(root) not in good:
         return MddE(agent, d, {}, {}, graph)
-    return MddE(agent, d, dict(reversed(kept_levels)), final_edges, graph)
+    return MddE(agent, d, dict(reversed(kept_levels)), edges, graph)
 
 
-def _add_ride(constraints: ConstraintSet, ride: Ride, n: MddENode, d: int, add) -> None:
-    dep = n.time
-    e_id, visits, _ = ride
-    if (dep + visits[-1][1] > d
-            or constraints.ride_block(e_id, n.vertex.floor, visits, dep) is not None):
-        return
-    prev = n
-    for door, offset in visits:
-        m = MddENode(door, dep + offset, e_id, dep)
-        add(prev, m)
-        prev = m
+def _derive(parent: MddE, ban: tuple) -> MddE:
+    """The diagram of the parent's constraint set plus one ban, at the
+    parent's cost: the parent's nodes and edges that keep the ban
+    (`_breaks`), pruned to root-to-goal paths. It equals a build under the
+    child set, since those are the parent's paths that keep the ban."""
+    agent, d, levels = parent.agent, parent.d, parent.levels
+    # a goal ban from d on blocks parking, the one rule of a build no node shows
+    if (parent.empty or (ban[0] == "vertex" and ban[1] == agent.goal and ban[3] >= d)
+            or _breaks(ban, parent, parent.root, None, 0)):
+        return MddE(agent, d, {}, {}, parent.graph)
+    reached = {id(parent.root)}
+    outs: list[list] = [[] for _ in range(d)]
+    for t, level in levels.items():
+        for n in level if t < d else ():
+            if id(n) in reached:
+                v = n.vertex  # a ride edge's floor change is no grid move an edge ban names
+                kept = [m for m in parent.edges[n] if not _breaks(ban, parent, m, v, m.time)]
+                reached.update(map(id, kept))
+                outs[t].append((n, kept))
+    ends = [m for m in levels[d] if id(m) in reached]
+    return _completable(agent, d, parent.graph, parent.root, ends, outs)
 
 
 class MddECache:
     """The MDD-Es of one solve, keyed by (agent, path cost, the agent's
     `ConstraintSet`), which hashes by identity and is never mutated
-    (`with_ban` returns a new one), so a hit is exact. Builds over the node
-    cap are remembered as None. Every node and every level or successor
-    tuple is stored once per solve, which keeps the memo small: most of a
-    solve's MDD-Es share most of their nodes. A build equal to an earlier
-    one (same agent, cost, levels and successors) returns that earlier
-    object, so equal diagrams are one object, which names the diagram for
-    the rest of the solve; `shared` counts those builds. `heuristics`,
+    (`with_ban` returns a new one), so a hit is exact. Each key is made
+    once: derived from the diagram of its set's parent at the same cost
+    when the cache holds one (`_derive`), else built; `builds` counts both
+    and `derived` the first. Builds over the node cap are remembered as
+    None. Every node is stored once per solve, interned as a build makes
+    it, and so is every level or successor tuple, which keeps the memo
+    small: most of a solve's MDD-Es share most of their nodes. A diagram
+    equal to an earlier one (same agent, cost, levels and successors)
+    returns that earlier object, so equal diagrams are one object, which
+    names the diagram for the rest of the solve; `shared` counts those.
+    `build_time` is the seconds spent making diagrams. `heuristics`,
     indexed by agent id, are the agents' `sipp.cost_to_go`."""
 
     def __init__(self, graph: MultiFloorGraph, agents, heuristics=None):
@@ -215,40 +256,44 @@ class MddECache:
         # the distinct diagrams, by a hash of (agent, cost, level tuple ids)
         self.diagrams: dict[int, list[MddE]] = {}
         self.builds = 0
+        self.derived = 0
         self.reuses = 0
         self.shared = 0
+        self.build_time = 0.0
 
     def get(self, agent_id: int, d: int, constraints: ConstraintSet) -> MddE | None:
         """The agent's cost-d MDD-E under the constraints, or None when it
         is over the node cap."""
         key = (agent_id, d, constraints)
         mdd = self.entries.get(key, _UNBUILT)
-        if mdd is _UNBUILT:
-            self.builds += 1
+        if mdd is not _UNBUILT:
+            self.reuses += 1
+            return mdd
+        t_start = time.perf_counter()
+        self.builds += 1
+        parent = self.entries.get((agent_id, d, constraints.parent))
+        if parent is not None:
+            self.derived += 1
+            mdd = self._shared(_derive(parent, constraints.ban))
+        else:
             heuristic = self.heuristics[agent_id] if self.heuristics is not None else None
             try:
                 mdd = self._shared(build_mdd_e(self.agents[agent_id], d, constraints,
-                                               self.graph, heuristic))
+                                               self.graph, heuristic, self.nodes))
             except MddSizeExceeded:
                 mdd = None
-            self.entries[key] = mdd
-        else:
-            self.reuses += 1
+        self.entries[key] = mdd
+        self.build_time += time.perf_counter() - t_start
         return mdd
 
     def _shared(self, mdd: MddE) -> MddE:
-        """The diagram with its nodes and tuples interned, or the earlier
-        diagram it equals. Equal level sets are one interned tuple, so the
-        hash reads tuple identities and a hit compares successor tuples by
-        identity."""
-        nodes, tuples = self.nodes.setdefault, self.tuples.setdefault
-
-        def seq(ns: tuple[MddENode, ...]) -> tuple[MddENode, ...]:
-            kept = tuple([nodes(n, n) for n in ns])
-            return tuples(kept, kept)
-
-        levels = {t: seq(level) for t, level in mdd.levels.items()}
-        edges = {nodes(src, src): seq(dsts) for src, dsts in mdd.edges.items()}
+        """The diagram with its level and successor tuples interned, or the
+        earlier diagram it equals. Equal level sets are one interned tuple,
+        so the hash reads tuple identities and a hit compares successor
+        tuples by identity."""
+        tuples = self.tuples.setdefault
+        levels = {t: tuples(level, level) for t, level in mdd.levels.items()}
+        edges = {src: tuples(dsts, dsts) for src, dsts in mdd.edges.items()}
         agent, d = mdd.agent, mdd.d
         same = self.diagrams.setdefault(hash((agent.id, d, *map(id, levels.values()))), [])
         for earlier in same:
@@ -413,18 +458,19 @@ def _ride_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra: _Trans, trb: _Trans, t: i
 # conflict classification and bypass extraction
 # ---------------------------------------------------------------------------
 
-def _breaks(ban: tuple, mdd: MddE, comp: MddENode, tra: _Trans | None, t: int) -> bool:
-    """Does a side reaching component comp at level t by transition tra
-    (None at the root) break the `ConstraintSet` ban: stand on a banned
-    vertex, take a banned edge, or carry a ride boarded inside a banned
-    window? (A ride boards at the agent's start floor.)"""
+def _breaks(ban: tuple, mdd: MddE, comp: MddENode, prev: Vertex | None, t: int) -> bool:
+    """Does a side at component comp at level t, come from vertex prev
+    (its transition's `u`: None inside a shaft or at the root), break the
+    `ConstraintSet` ban: stand on a banned vertex, take a banned edge, or
+    carry a ride boarded inside a banned window? (A ride boards at the
+    agent's start floor.)"""
     kind = ban[0]
     if kind == "vertex":
         _, v, lo, hi = ban
         return lo <= t <= hi and _vertex_at(comp, t) == v
     if kind == "edge":
         _, u, w, t_ban = ban
-        return t == t_ban + 1 and tra.u == u and tra.w == w
+        return t == t_ban + 1 and prev == u and _vertex_at(comp, t) == w
     _, k, floor, lo, hi = ban
     return comp.elevator == k and lo <= comp.board_time <= hi and floor == mdd.agent.start_floor
 
@@ -493,7 +539,7 @@ def _bypass_comps(joint: JointMddE, agent_id: int, ban: tuple) -> list | None:
             key = (t, succ)
             if key in seen:
                 continue
-            if _breaks(ban, mdd, succ[side], tra if side == 0 else trb, t):
+            if _breaks(ban, mdd, succ[side], (tra if side == 0 else trb).u, t):
                 continue
             if t == t_end:
                 return [pair[side] for pair in path] + [succ[side]]

@@ -64,16 +64,19 @@ class ConstraintSet:
     elevator, floor, lo, hi)`. Sets are never mutated: `with_ban` derives
     a child, and the parent keeps its children keyed by the ban, so the
     same ban on the same set gives the same object. Sibling CT subtrees
-    that add one ban to one set then share the child. A set hashes and
-    compares by identity, so it is its own key in the solver's plan memo
-    and in `mdd.MddECache`, and those memos hit across such subtrees; two
-    sets with equal bans reached in another order are two keys. `repr`
-    leaves out `children`."""
+    that add one ban to one set then share the child, which knows its
+    `parent` and that `ban` (None on a set not made by `with_ban`). A set
+    hashes and compares by identity, so it is its own key in the solver's
+    plan memo and in `mdd.MddECache`, and those memos hit across such
+    subtrees; two sets with equal bans reached in another order are two
+    keys. `repr` leaves out `children`, `parent` and `ban`."""
 
     vertex_bans: dict[Vertex, tuple[Interval, ...]] = field(default_factory=dict)
     edge_bans: frozenset[tuple[Vertex, Vertex, int]] = field(default_factory=frozenset)
     boarding_bans: dict[tuple[int, int], tuple[Interval, ...]] = field(default_factory=dict)
     children: dict[tuple, "ConstraintSet"] | None = field(default=None, init=False, repr=False)
+    parent: "ConstraintSet | None" = field(default=None, init=False, repr=False)
+    ban: tuple | None = field(default=None, init=False, repr=False)
 
     def with_ban(self, ban: tuple) -> "ConstraintSet":
         """This set plus one ban, derived once per (set, ban)."""
@@ -90,6 +93,7 @@ class ConstraintSet:
             else:
                 boarding = _with_interval(boarding, ban[1:3], *ban[3:])
             child = children[ban] = ConstraintSet(vertex, edge, boarding)
+            child.parent, child.ban = self, ban
         return child
 
     def vertex_banned(self, v: Vertex, t: int) -> bool:

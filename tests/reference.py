@@ -399,7 +399,7 @@ def bypass_comps_breadth_first(joint, agent_id: int, ban: tuple) -> list | None:
                 key = (t + 1, succ)
                 if key in parent:
                     continue
-                if mdd_mod._breaks(ban, mdd, succ[side], tra if side == 0 else trb, t + 1):
+                if mdd_mod._breaks(ban, mdd, succ[side], (tra if side == 0 else trb).u, t + 1):
                     continue
                 parent[key] = (t, pair)
                 nxt.append(succ)

@@ -153,7 +153,8 @@ def test_csv_schema_and_determinism():
     first, second = outs
     assert first.splitlines()[0] == CSV_HEADER == (
         "experiment,variant,N,floors,tfloor,seed,solved,soc,runtime_ms,expanded,"
-        "generated,mdde_time_fraction,status,lower_bound,plan_time_ms,heuristic_time_ms")
+        "generated,mdde_time_fraction,status,lower_bound,plan_time_ms,heuristic_time_ms,"
+        "mdd_build_time_ms")
     # byte-identical apart from the wall-time-derived columns (a timeout's
     # lower bound among them)
     def strip_time(text):

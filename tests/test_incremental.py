@@ -23,10 +23,11 @@ from mapfe.bench import ExperimentConfig, gen_instance
 from mapfe.cbs import (SolverConfig, VertexConflict, _conflict_key, _pair_grid_conflicts, _Solver,
                        _timeline, enumerate_conflicts, solve, validate)
 from mapfe.elevator import RideSummaries, detect_elevator_conflicts, pair_elevator_conflicts
-from mapfe.model import Vertex, parse_map, parse_scenario, ride_visits
-from mapfe.sipp import ConstraintSet, Path as Plan
+from mapfe.mdd import MddECache, MddENode, build_mdd_e
+from mapfe.model import Agent, Vertex, parse_map, parse_scenario, ride_visits
+from mapfe.sipp import ConstraintSet, Path as Plan, plan
 
-from reference import BOARD, grid_conflicts, neighbors
+from reference import BOARD, MOVE, enumerate_cost_d_paths, grid_conflicts, mdd_path_set, neighbors
 
 ALL_VARIANTS = [(False, False), (True, False), (False, True), (True, True)]
 
@@ -395,6 +396,152 @@ def test_equal_mdd_es_are_one_object(monkeypatch):
     # some builds repeat an earlier diagram under another constraint set
     assert 0 < s.mdd_shared < s.mdd_builds == len(returned)
     assert len({id(m) for m in returned}) == s.mdd_builds - s.mdd_shared
+
+
+def _random_set(rng, graph, agent, doors):
+    """A constraint set of up to five bans, made by `with_ban`: vertex bans
+    on doors and on the goal, edge bans on grid moves, and boarding bans on
+    the start floor and on any floor."""
+    cells = [v for v in graph.vertices() if graph.passable(v)]
+    cs = ConstraintSet()
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.choice(["door", "goal", "edge", "boarding", "boarding-start"])
+        lo = rng.randint(1, 8)
+        e = rng.choice(graph.elevators)
+        if kind == "door":
+            cs = cs.with_ban(("vertex", rng.choice(doors), lo, lo + rng.randint(0, 2)))
+        elif kind == "goal":
+            cs = cs.with_ban(("vertex", agent.goal, lo, lo))
+        elif kind == "edge":
+            v = rng.choice(cells)
+            moves = [u for u, _, how in neighbors(graph, v, True) if how == MOVE]
+            if moves:
+                cs = cs.with_ban(("edge", v, rng.choice(moves), lo))
+        else:
+            floor = agent.start_floor if kind == "boarding-start" else rng.randint(1, graph.floors)
+            cs = cs.with_ban(("boarding", e.id, floor, lo, lo + rng.randint(0, 3)))
+    return cs
+
+
+def _bans_of_each_kind(rng, graph, agent, diagram, doors):
+    """One child ban of each kind, aimed at the diagram's nodes where it
+    has one to aim at: a vertex ban on a node, a ban on a door the agent
+    visits while boarded (inside the shaft or at the ride's end), a goal
+    ban before, at or after the cost, an edge ban on a grid move, and
+    boarding bans on the start floor and on another floor."""
+    d = diagram.d
+    nodes = [n for level in diagram.levels.values() for n in level] or [
+        MddENode(agent.start, 0, -1, -1)]
+    grid_moves = [(n, m) for n in nodes for m in diagram.edges.get(n, ())
+                  if m.time == n.time + 1 and m.vertex != n.vertex
+                  and m.vertex.floor == n.vertex.floor]
+    rode = [n for n in nodes if n.elevator != -1]
+    at_doors = [n for n in rode if graph.elevator_at(n.vertex) is not None]
+    n = rng.choice(nodes)
+    door = (rng.choice(at_doors) if at_doors
+            else MddENode(rng.choice(doors), rng.randint(1, 8), -1, -1))
+    t_goal = rng.randint(max(1, d - 2), d + 2)
+    bans = [("vertex", n.vertex, n.time, n.time + rng.randint(0, 1)),
+            ("vertex", door.vertex, door.time, door.time),
+            ("vertex", agent.goal, t_goal, t_goal)]
+    if grid_moves:
+        u, w = rng.choice(grid_moves)
+        bans.append(("edge", u.vertex, w.vertex, u.time))
+    ride = rng.choice(rode) if rode else MddENode(agent.start, 0, rng.choice(graph.elevators).id,
+                                                  rng.randint(0, 8))
+    bans.append(("boarding", ride.elevator, agent.start_floor,
+                 ride.board_time - rng.randint(0, 1), ride.board_time + rng.randint(0, 1)))
+    other = [f for f in range(1, graph.floors + 1) if f != agent.start_floor]
+    bans.append(("boarding", ride.elevator, rng.choice(other), 0, d))
+    return bans
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(multi_floor_instances(agents=(1, 3)), st.integers(0, 2**32 - 1))
+def test_a_derived_mdd_e_equals_a_build_for_every_ban_kind(instance, seed):
+    # a child set's diagram at its parent set's cost is pruned from the
+    # parent's: it must equal a build under the child set, level order and
+    # tuple order included, and hold exactly the child's cost-d paths
+    rng = random.Random(seed)
+    graph = instance.graph
+    doors = [graph.door(e.id, f) for e in graph.elevators for f in range(1, graph.floors + 1)]
+    for agent in instance.agents:
+        parent = _random_set(rng, graph, agent, doors)
+        base = plan(agent, graph, parent)
+        if base is None:
+            continue  # the goal is out of reach
+        mdds = MddECache(graph, instance.agents)
+        diagram = mdds.get(agent.id, base.cost, parent)
+        children = {id(parent.with_ban(ban)): parent.with_ban(ban)
+                    for ban in _bans_of_each_kind(rng, graph, agent, diagram, doors)}
+        for child in children.values():
+            derived = mdds.get(agent.id, base.cost, child)
+            fresh = build_mdd_e(agent, base.cost, child, graph)
+            assert list(derived.levels.items()) == list(fresh.levels.items()), child.ban
+            assert derived.edges == fresh.edges, child.ban
+            paths = enumerate_cost_d_paths(agent, graph, child, base.cost, limit=2000)
+            if paths is not None:
+                assert mdd_path_set(derived) == set(paths), child.ban
+        assert mdds.derived == len(children) == mdds.builds - 1
+
+
+def test_derived_mdd_e_cases(strip3):
+    # floor 1 to floor 3 through the floor-2 door, with one tick to spare
+    agent = Agent(0, Vertex(1, 0, 0), Vertex(3, 2, 0))
+    root = ConstraintSet()
+    mdds = MddECache(strip3, [agent])
+    parent = mdds.get(0, 5, root)
+    assert {n.board_time for n in parent.levels[4] if n.elevator != -1} == {1, 2}
+
+    def derive(ban):
+        child = root.with_ban(ban)
+        derived = mdds.get(0, 5, child)
+        fresh = build_mdd_e(agent, 5, child, strip3)
+        assert (derived.levels, derived.edges) == (fresh.levels, fresh.edges)
+        return derived
+
+    # the floor-2 door inside the shaft at t=2 cuts the rides boarded at 1
+    inside = derive(("vertex", Vertex(2, 1, 0), 2, 2))
+    assert {n.board_time for level in inside.levels.values() for n in level
+            if n.elevator != -1} == {2}
+    # a goal ban after the cost blocks parking, which no node shows
+    assert derive(("vertex", agent.goal, 6, 6)).empty
+    # a boarding ban on a floor the agent does not board from changes nothing
+    shared = mdds.shared
+    assert derive(("boarding", 0, 2, 0, 10)) is parent
+    assert mdds.shared == shared + 1
+    assert mdds.derived == 3
+
+
+def test_every_diagram_a_solve_makes_equals_a_build(monkeypatch):
+    # desk seeds under the full solver: every cache miss, built or derived
+    # from its set's parent, equals a fresh build under its key
+    from mapfe import mdd
+    get = mdd.MddECache.get
+    made = []
+
+    def checking(self, agent_id, d, constraints):
+        miss = (agent_id, d, constraints) not in self.entries
+        diagram = get(self, agent_id, d, constraints)
+        if miss:
+            fresh = build_mdd_e(self.agents[agent_id], d, constraints, self.graph)
+            assert (diagram.levels, diagram.edges) == (fresh.levels, fresh.edges)
+            made.append(agent_id)
+        return diagram
+
+    monkeypatch.setattr(mdd.MddECache, "get", checking)
+    cfg = ExperimentConfig(size=8, obstacle_rate=0.1, floors=2, elevators=3,
+                           tfloor=3, agents=[6], instances=1)
+    builds = derived = 0
+    for seed in range(777_000, 777_010):
+        s = solve(gen_instance(cfg, 6, seed=seed),
+                  SolverConfig(ec_enabled=True, mdde_enabled=True, time_limit=60)).stats
+        builds += s.mdd_builds
+        derived += s.mdd_derived
+        assert 0 <= s.mdd_build_time < s.runtime
+    assert len(made) == builds
+    assert derived > 0
 
 
 def test_solver_plans_once_per_constraint_set(monkeypatch):
