@@ -25,7 +25,7 @@ VARIANTS: dict[str, tuple[bool, bool]] = {
 
 CSV_HEADER = ("experiment,variant,N,floors,tfloor,seed,solved,soc,"
               "runtime_ms,expanded,generated,mdde_time_fraction,status,lower_bound,"
-              "plan_time_ms,heuristic_time_ms,mdd_build_time_ms")
+              "plan_time_ms,heuristic_time_ms,mdd_build_time_ms,ride_cuts")
 
 
 class GenerationError(RuntimeError):
@@ -111,6 +111,7 @@ class ResultRecord:
     plan_time_ms: float  # `SolveStats.plan_time`
     heuristic_time_ms: float  # `SolveStats.heuristic_time`
     mdd_build_time_ms: float  # `SolveStats.mdd_build_time`
+    ride_cuts: int  # `SolveStats.ride_cuts`
 
 
 def gen_instance(cfg: ExperimentConfig, n_agents: int, seed: int,
@@ -182,7 +183,8 @@ def run_suite(cfg: ExperimentConfig) -> list[ResultRecord]:
                     status=result.status, lower_bound=stats.lower_bound,
                     plan_time_ms=stats.plan_time * 1000.0,
                     heuristic_time_ms=stats.heuristic_time * 1000.0,
-                    mdd_build_time_ms=stats.mdd_build_time * 1000.0))
+                    mdd_build_time_ms=stats.mdd_build_time * 1000.0,
+                    ride_cuts=stats.ride_cuts))
     return records
 
 
@@ -197,6 +199,7 @@ def write_csv(records: Iterable[ResultRecord], out: TextIO) -> None:
             f"{r.mdde_time_fraction:.4f}", r.status,
             "" if r.lower_bound is None else r.lower_bound,
             f"{r.plan_time_ms:.3f}", f"{r.heuristic_time_ms:.3f}", f"{r.mdd_build_time_ms:.3f}",
+            r.ride_cuts,
         ])
 
 

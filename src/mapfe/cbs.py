@@ -164,6 +164,7 @@ class SolveStats:
     classify_calls: int = 0  # conflicts classified on their joint MDD-E
     label_hits: int = 0  # conflict labels the solve's memo answered
     joint_pairs: int = 0  # joint MDD-E pairs the classifications expanded
+    ride_cuts: int = 0  # joint roots and successor pairs dropped for want of compatible rides
     plans: int = 0  # single-agent SIPP plans run by the solve
     plan_time: float = 0.0  # seconds inside those plans
     heuristic_time: float = 0.0  # seconds building the grid index and the agents' heuristics
@@ -546,7 +547,9 @@ class _Solver:
                 best = (rank, c, entry[1])
             if rank == 0:
                 break
-        self.stats.joint_pairs += sum(joint.pairs for joint in joint_cache.values())
+        for joint in joint_cache.values():
+            self.stats.joint_pairs += joint.pairs
+            self.stats.ride_cuts += joint.cuts
         self.mdde_time += time.perf_counter() - t_start
         return best[1], best[2], mdd_mod.LABELS[best[0]]
 

@@ -165,7 +165,8 @@ def _cmd_solve(args) -> int:
           f"heuristic_time_ms={stats.heuristic_time * 1000.0:.3f} "
           f"mdde_time_fraction={stats.mdde_time_fraction:.4f} "
           f"classify_calls={stats.classify_calls} label_hits={stats.label_hits} "
-          f"joint_pairs={stats.joint_pairs} door_skips={stats.door_skips} "
+          f"joint_pairs={stats.joint_pairs} ride_cuts={stats.ride_cuts} "
+          f"door_skips={stats.door_skips} "
           f"plans={stats.plans} plan_reuses={stats.plan_reuses} "
           f"mdd_build_time_ms={stats.mdd_build_time * 1000.0:.3f} mdd_derived={stats.mdd_derived} "
           f"mdd_builds={stats.mdd_builds} mdd_shared={stats.mdd_shared} "

@@ -29,6 +29,15 @@ would return, having expanded only the pairs it walked through. A search
 that reaches the last level is that agent's bypass, so `classify` returns
 the label and the bypasses of one search together.
 
+When both agents change floor, the product also drops each pair that has
+no ride-compatible pair of completions: a side not yet boarded, and
+every ride still open to one side (`MddE.ride_masks`) overlapping every
+ride still open to the other on one elevator. Every completion of such a
+pair ends with both sides boarded on overlapping rides, which the pair
+test rejects, so the cut leaves every complete path, and so every label
+and bypass, as it was; it spares the searches the pairs of two agents
+still walking toward one elevator.
+
 A joint component is a plain `MddENode`, read together with the level t it
 sits at: node.time == t stands on node.vertex, node.time < t is parked at
 the goal, and node.time > t is inside a shaft riding toward the node
@@ -77,6 +86,7 @@ class MddE:
     edges: dict[MddENode, tuple[MddENode, ...]]
     graph: MultiFloorGraph
     rides: dict[tuple[int, int], ElevatorUsage] = field(default_factory=dict, repr=False)
+    masks: dict[MddENode, int] | None = field(default=None, repr=False)
 
     @property
     def empty(self) -> bool:
@@ -97,6 +107,29 @@ class MddE:
                 a.id, node.elevator, node.board_time, a.start_floor, a.goal_floor,
                 self.graph.elevators[node.elevator].t_floor)
         return u
+
+    def ride_masks(self) -> dict[MddENode, int]:
+        """Per node, a bit mask of the rides the agent can still take on its
+        cost-d paths from there, for an agent that changes floor: bit i is
+        the ride of the i-th goal node (`levels[d]` holds one per ride), a
+        boarded node's mask is its own ride and an unboarded node's the OR
+        of its successors'. One backward sweep of `levels`, made the first
+        time a joint's ride cut asks and kept with the diagram."""
+        if self.masks is None:
+            bits = {(n.elevator, n.board_time): 1 << i for i, n in enumerate(self.levels[self.d])}
+            masks: dict[MddENode, int] = {}
+            edges = self.edges
+            for level in reversed(self.levels.values()):
+                for n in level:
+                    if n.elevator == -1:
+                        m = 0
+                        for s in edges[n]:
+                            m |= masks[s]
+                        masks[n] = m
+                    else:
+                        masks[n] = bits[n.elevator, n.board_time]
+            self.masks = masks
+        return self.masks
 
 
 def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
@@ -349,16 +382,25 @@ class JointMddE:
     """Conflict-pruned product of two agents' MDD-Es, advanced in unit time
     steps; the shorter side is parked at its goal once finished. A pair
     survives at level t exactly when some pairwise-conflict-free prefix pair
-    reaches it.
+    reaches it and, when both agents change floor, each pair on that
+    prefix with an unboarded side has a ride-compatible pair of
+    completions: some ride still open to one side (`MddE.ride_masks`) is on
+    another elevator than, or clear of the busy window of, some ride still
+    open to the other. A pair without one has no conflict-free
+    completion (the ride cut, module docstring).
 
     Pairs are expanded on demand: `successors` computes one pair's
     successors and keeps them, so the depth-first bypass searches of both
     sides, and of every conflict of the two agents in one CT node, expand
     each pair once. Each side's transitions from a component at a level
     are computed once per joint (`moves`). `levels` holds only the root
-    level, empty when the roots clash or a diagram is. `pairs` counts the
-    expanded pairs; past `NODE_CAP` every search of this joint raises
-    `MddSizeExceeded`."""
+    level, empty when the roots clash, a diagram is empty or the root has
+    no ride-compatible completion. `pairs` counts the expanded pairs; past
+    `NODE_CAP` every search of this joint raises `MddSizeExceeded`.
+    `compat` holds, for each ride of a by bit, the mask of b's rides it
+    can pair with, and is None when the cut cannot drop a pair;
+    `compatible` memoises their union by a's mask, and `cuts` counts the
+    roots and successor pairs the cut dropped."""
 
     mdd_a: MddE
     mdd_b: MddE
@@ -367,13 +409,17 @@ class JointMddE:
     adj: dict[tuple[int, tuple], list[tuple[tuple, _Trans, _Trans]]]
     pairs: int = 0
     moves: tuple[dict, dict] = field(default_factory=lambda: ({}, {}), repr=False)
+    compat: list[int] | None = field(default=None, repr=False)
+    open_b: dict[int, int] = field(default_factory=dict, repr=False)
+    cuts: int = 0
 
     def successors(self, t: int, pair: tuple) -> list[tuple[tuple, _Trans, _Trans]]:
         """Conflict-free successors of a level-t pair with both sides'
         transitions, in `itertools.product` order over the two sides'
-        `transitions`. A transition's endpoint is where its side stands at
-        t+1, so the vertex test compares endpoints; the elevator tests run
-        only when a side has boarded."""
+        `transitions`, less those the ride cut drops. A transition's
+        endpoint is where its side stands at t+1, so the vertex test
+        compares endpoints; the elevator tests run only when a side has
+        boarded, and the cut only when one has not."""
         key = (t, pair)
         out = self.adj.get(key)
         if out is None:
@@ -382,9 +428,14 @@ class JointMddE:
             ca, cb = pair
             out = self.adj[key] = []
             moves_b = self.transitions(1, cb, t)
+            cut = self.compat is not None
+            if cut:
+                masks_a, masks_b = self.mdd_a.ride_masks(), self.mdd_b.ride_masks()
             for sa, tra in self.transitions(0, ca, t):
                 ua, wa, _ = tra
                 moving = ua is not None and wa is not None and ua != wa
+                if cut:
+                    open_b = self.compatible(masks_a[sa])
                 for sb, trb in moves_b:
                     wb = trb.w
                     if wa is not None and wa == wb:
@@ -394,7 +445,23 @@ class JointMddE:
                     if (sa.elevator != -1 or sb.elevator != -1) and _ride_conflicts(
                             self.mdd_a, self.mdd_b, ca, cb, sa, sb, tra, trb, t):
                         continue
+                    if cut and (sa.elevator == -1 or sb.elevator == -1) and not (
+                            open_b & masks_b[sb]):
+                        self.cuts += 1
+                        continue
                     out.append(((sa, sb), tra, trb))
+        return out
+
+    def compatible(self, mask_a: int) -> int:
+        """The mask of b's rides that some ride in a's mask can pair with:
+        on another elevator, or clear of its busy window."""
+        out = self.open_b.get(mask_a)
+        if out is None:
+            out = 0
+            for i, row in enumerate(self.compat):
+                if mask_a >> i & 1:
+                    out |= row
+            self.open_b[mask_a] = out
         return out
 
     def transitions(self, side: int, n: MddENode, t: int) -> list[tuple[MddENode, _Trans]]:
@@ -428,12 +495,27 @@ class JointMddE:
 
 def build_joint(mdd_a: MddE, mdd_b: MddE) -> JointMddE:
     """The joint MDD-E of two agents with only its root level in place;
-    pairs are expanded as searches reach them."""
-    t_end = max(mdd_a.d, mdd_b.d)
-    levels: dict[int, list[tuple[MddENode, MddENode]]] = {}
-    if not (mdd_a.empty or mdd_b.empty or mdd_a.root.vertex == mdd_b.root.vertex):
-        levels[0] = [(mdd_a.root, mdd_b.root)]
-    return JointMddE(mdd_a, mdd_b, t_end, levels, {})
+    pairs are expanded as searches reach them. When both agents change
+    floor and some ride of one overlaps some ride of the other, the joint
+    gets the rides' compatibility rows for the ride cut."""
+    joint = JointMddE(mdd_a, mdd_b, max(mdd_a.d, mdd_b.d), {}, {})
+    if mdd_a.empty or mdd_b.empty or mdd_a.root.vertex == mdd_b.root.vertex:
+        return joint
+    a, b = mdd_a.agent, mdd_b.agent
+    if a.start_floor != a.goal_floor and b.start_floor != b.goal_floor:
+        # one goal node per ride, bit i of `ride_masks` the i-th's
+        rides_b = [mdd_b.ride(n) for n in mdd_b.levels[mdd_b.d]]
+        full = (1 << len(rides_b)) - 1
+        rows = [sum(1 << j for j, v in enumerate(rides_b)
+                    if v.elevator != u.elevator or not usages_overlap(u, v))
+                for u in map(mdd_a.ride, mdd_a.levels[mdd_a.d])]
+        if any(row != full for row in rows):
+            joint.compat = rows
+            if not any(rows):  # the roots can still take every ride
+                joint.cuts += 1
+                return joint
+    joint.levels[0] = [(mdd_a.root, mdd_b.root)]
+    return joint
 
 
 def _ride_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra: _Trans, trb: _Trans, t: int) -> bool:

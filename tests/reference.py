@@ -224,6 +224,29 @@ def _prefix_state(steps, usage, t: int):
     return ("n", v, k, ts)
 
 
+def rides_overlap(u_i, u_j, graph) -> bool:
+    """Do two rides, as (elevator, t_s, l_s, l_g, t_g), clash: one
+    elevator, and either boarding inside the other ride's busy window
+    toward its boarding floor?"""
+    k, ts_i, ls_i, lg_i, tg_i = u_i
+    k_j, ts_j, ls_j, lg_j, tg_j = u_j
+    if k != k_j:
+        return False
+    t_floor = graph.elevators[k].t_floor
+    return (ts_j <= ts_i <= tg_j + abs(lg_j - ls_i) * t_floor
+            or ts_i <= ts_j <= tg_i + abs(lg_i - ls_j) * t_floor)
+
+
+def rides_clash(rides_i, rides_j, graph) -> bool:
+    """The ride rule of the joint product: two agents that both change
+    floor, one of them not yet boarded, whose rides still open (sets of
+    (elevator, t_s, l_s, l_g, t_g)) all clash pairwise, have no
+    conflict-free completion, since both end boarded on the rides they
+    took."""
+    return bool(rides_i) and bool(rides_j) and all(
+        rides_overlap(u_i, u_j, graph) for u_i in rides_i for u_j in rides_j)
+
+
 def earliest_pair_kill(steps_i, steps_j, graph, horizon: int) -> float:
     """First level at which the prefix pair of two complete paths stops
     being conflict-free, or inf. Mirrors the pairwise conflict semantics:
@@ -246,13 +269,8 @@ def earliest_pair_kill(steps_i, steps_j, graph, horizon: int) -> float:
         qi, qj = pos(steps_i, t + 1), pos(steps_j, t + 1)
         if None not in (pi, pj, qi, qj) and pi != qi and pj != qj and pi == qj and qi == pj:
             kill = min(kill, t + 1)
-    if u_i and u_j and u_i[0] == u_j[0]:
-        k, ts_i, ls_i, lg_i, tg_i = u_i
-        _, ts_j, ls_j, lg_j, tg_j = u_j
-        t_floor = graph.elevators[k].t_floor
-        if (ts_j <= ts_i <= tg_j + abs(lg_j - ls_i) * t_floor
-                or ts_i <= ts_j <= tg_i + abs(lg_i - ls_j) * t_floor):
-            kill = min(kill, max(ts_i, ts_j) + 1)
+    if u_i and u_j and rides_overlap(u_i, u_j, graph):
+        kill = min(kill, max(u_i[1], u_j[1]) + 1)
     for (usage, steps_other, usage_other) in ((u_i, steps_j, u_j), (u_j, steps_i, u_i)):
         if usage is None:
             continue
@@ -275,24 +293,38 @@ def earliest_pair_kill(steps_i, steps_j, graph, horizon: int) -> float:
     return kill
 
 
-def joint_levels_by_enumeration(agent_i, agent_j, graph, cs_i, cs_j, d_i, d_j):
+def joint_levels_by_enumeration(agent_i, agent_j, graph, cs_i, cs_j, d_i, d_j,
+                                ride_rule: bool = True):
     """Expected joint MDD-E levels from exhaustive path-pair enumeration:
     a state pair appears at level t when some pair of cost-exact paths has
-    a conflict-free prefix pair reaching it."""
+    a conflict-free prefix pair reaching it. With `ride_rule`, a prefix
+    pair also stops at the first level where both agents change floor, a
+    side has not boarded, and the rides of the paths through the two
+    states clash pairwise (`rides_clash`)."""
     t_end = max(d_i, d_j)
     paths_i = enumerate_cost_d_paths(agent_i, graph, cs_i, d_i)
     paths_j = enumerate_cost_d_paths(agent_j, graph, cs_j, d_j)
+    usage = {p: _path_usage(p, graph) for p in paths_i + paths_j}
+    rides_through: dict[tuple, set] = {}  # (side, t, state) -> rides of the paths through it
+    if ride_rule and agent_i.start_floor != agent_i.goal_floor \
+            and agent_j.start_floor != agent_j.goal_floor:
+        for side, paths in enumerate((paths_i, paths_j)):
+            for p in paths:
+                for t in range(t_end + 1):
+                    rides_through.setdefault((side, t, _prefix_state(p, usage[p], t)),
+                                             set()).add(usage[p])
     levels: dict[int, set] = {}
     for pi in paths_i:
-        u_i = _path_usage(pi, graph)
         for pj in paths_j:
-            u_j = _path_usage(pj, graph)
             kill = earliest_pair_kill(pi, pj, graph, t_end + 1)
             for t in range(t_end + 1):
                 if t >= kill:
                     break
-                levels.setdefault(t, set()).add(
-                    (_prefix_state(pi, u_i, t), _prefix_state(pj, u_j, t)))
+                pair = (_prefix_state(pi, usage[pi], t), _prefix_state(pj, usage[pj], t))
+                if rides_through and -1 in (pair[0][2], pair[1][2]) and rides_clash(
+                        rides_through[0, t, pair[0]], rides_through[1, t, pair[1]], graph):
+                    break
+                levels.setdefault(t, set()).add(pair)
     return levels
 
 
@@ -466,30 +498,86 @@ def pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra, trb, t: int, elevator_awar
     return False
 
 
-def joint_successors(joint, t: int, pair: tuple, elevator_aware: bool) -> list:
+def rides_below(mdd, n) -> set[tuple]:
+    """The rides, as (elevator, t_s, l_s, l_g, t_g), of the cost-d paths
+    of an MDD-E through node n, found by walking `mdd.edges` from n."""
+    agent, graph = mdd.agent, mdd.graph
+    out, seen, stack = set(), {n}, [n]
+    while stack:
+        m = stack.pop()
+        if m.elevator != -1:
+            t_floor = graph.elevators[m.elevator].t_floor
+            out.add((m.elevator, m.board_time, agent.start_floor, agent.goal_floor,
+                     m.board_time + abs(agent.goal_floor - agent.start_floor) * t_floor))
+            continue  # a boarded node's paths all carry its ride
+        for s in mdd.edges.get(m, ()):
+            if s not in seen:
+                seen.add(s)
+                stack.append(s)
+    return out
+
+
+def ride_dead(joint, sa, sb) -> bool:
+    """Does the ride rule (`rides_clash`) drop the pair (sa, sb) of a
+    `mdd.JointMddE`: both agents change floor, a side has not boarded,
+    and every ride below one side clashes with every ride below the
+    other?"""
+    mdd_a, mdd_b = joint.mdd_a, joint.mdd_b
+    if any(m.agent.start_floor == m.agent.goal_floor for m in (mdd_a, mdd_b)):
+        return False
+    if sa.elevator != -1 and sb.elevator != -1:
+        return False
+    return rides_clash(rides_below(mdd_a, sa), rides_below(mdd_b, sb), mdd_a.graph)
+
+
+def joint_successors(joint, t: int, pair: tuple, elevator_aware: bool,
+                     ride_rule: bool = False) -> list:
     """The conflict-free successors of a level-t pair of a `mdd.JointMddE`:
-    the product of both sides' `comp_succs`, filtered by `pair_conflicts`,
-    in `itertools.product` order."""
+    the product of both sides' `comp_succs`, filtered by `pair_conflicts`
+    and, with `ride_rule`, by `ride_dead`, in `itertools.product` order."""
     mdd_a, mdd_b = joint.mdd_a, joint.mdd_b
     ca, cb = pair
     return [((sa, sb), tra, trb)
             for (sa, tra), (sb, trb) in itertools.product(comp_succs(mdd_a, ca, t),
                                                           comp_succs(mdd_b, cb, t))
-            if not pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra, trb, t, elevator_aware)]
+            if not pair_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra, trb, t, elevator_aware)
+            and not (ride_rule and ride_dead(joint, sa, sb))]
+
+
+def joint_roots(joint) -> list[tuple]:
+    """The root pair of the two diagrams of a `mdd.JointMddE`, read off
+    the diagrams themselves: none when one is empty or the two start on
+    one vertex."""
+    mdd_a, mdd_b = joint.mdd_a, joint.mdd_b
+    if mdd_a.empty or mdd_b.empty or mdd_a.root.vertex == mdd_b.root.vertex:
+        return []
+    return [(mdd_a.root, mdd_b.root)]
 
 
 def joint_vertex_pairs(joint, t: int, elevator_aware: bool) -> set:
     """Where the two agents of a `mdd.JointMddE` stand at level t of the
-    product, expanded level by level from its root through
-    `joint_successors`; without `elevator_aware` this is the plain product
-    of two MDDs, which sees no ride."""
+    product, expanded level by level from the diagrams' roots through
+    `joint_successors` without the ride rule; without `elevator_aware`
+    this is the plain product of two MDDs, which sees no ride."""
     from mapfe.mdd import _vertex_at
 
-    level = joint.levels.get(0, [])
+    level = joint_roots(joint)
     for s in range(t):
         level = list(dict.fromkeys(succ for pair in level
                                    for succ, _, _ in joint_successors(joint, s, pair, elevator_aware)))
     return {(_vertex_at(a, t), _vertex_at(b, t)) for a, b in level}
+
+
+def completes(joint, t: int, pair: tuple, memo: dict) -> bool:
+    """Does some path of the elevator-aware reference product without the
+    ride rule lead from the level-t pair of a `mdd.JointMddE` to its last
+    level? `memo` keeps the answers by (t, pair) across calls."""
+    key = (t, pair)
+    if key not in memo:
+        memo[key] = t == joint.t_end or any(
+            completes(joint, t + 1, succ, memo)
+            for succ, _, _ in joint_successors(joint, t, pair, True))
+    return memo[key]
 
 
 def joint_levels(joint) -> dict[int, list[tuple]]:

@@ -154,12 +154,12 @@ def test_csv_schema_and_determinism():
     assert first.splitlines()[0] == CSV_HEADER == (
         "experiment,variant,N,floors,tfloor,seed,solved,soc,runtime_ms,expanded,"
         "generated,mdde_time_fraction,status,lower_bound,plan_time_ms,heuristic_time_ms,"
-        "mdd_build_time_ms")
+        "mdd_build_time_ms,ride_cuts")
     # byte-identical apart from the wall-time-derived columns (a timeout's
     # lower bound among them)
     def strip_time(text):
         rows = [line.split(",") for line in text.splitlines()]
-        return [row[:8] + row[9:11] + row[12:13] for row in rows]
+        return [row[:8] + row[9:11] + row[12:13] + row[17:] for row in rows]
     assert strip_time(first) == strip_time(second)
     for row in first.splitlines()[1:]:
         fields = row.split(",")

@@ -56,6 +56,7 @@ def test_joint_pairs_count_the_joint_search_and_read_0_without_mdde(tmp_path, ca
         counts[mdde] = dict(field.split("=") for field in stats[1:])
     assert int(counts["on"]["classify_calls"]) > 0 and int(counts["on"]["joint_pairs"]) > 0
     assert counts["off"]["classify_calls"] == counts["off"]["joint_pairs"] == "0"
+    assert counts["off"]["ride_cuts"] == "0"
 
 
 def test_children_are_scanned_only_when_they_reach_the_top(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mapfe import mdd as mdd_mod
 from mapfe.cbs import SolverConfig, VertexConflict, _Solver, solve
-from mapfe.elevator import ElevatorConflict, ElevatorUsage
+from mapfe.elevator import ElevatorConflict, ElevatorUsage, detect_elevator_conflicts
 from mapfe.mdd import (
     CARDINAL,
     NON_CARDINAL,
@@ -28,10 +28,12 @@ from mapfe.sipp import ConstraintSet, plan
 from reference import (
     bypass_comps_breadth_first,
     classify_by_enumeration,
+    completes,
     enumerate_cost_d_paths,
     joint_complete,
     joint_levels,
     joint_levels_by_enumeration,
+    joint_roots,
     joint_successors,
     joint_vertex_pairs,
     level_vertex_pairs,
@@ -137,6 +139,7 @@ def test_joint_levels_match_pairwise_enumeration(corridor2, flat3):
     cases = [
         (corridor2, "1 0 0 2 3 0", "1 4 0 2 0 0", 4, 5),
         (corridor2, "1 0 0 2 3 0", "1 4 0 2 0 0", 5, 5),
+        (corridor2, "1 0 0 2 3 0", "1 4 0 2 0 0", 5, 6),
         (flat3, "1 0 0 1 2 2", "1 2 0 1 0 2", 4, 4),
         (shaft3, "1 0 0 3 2 1", "2 2 1 2 0 1", 8, 2),
     ]
@@ -157,6 +160,19 @@ def test_joint_levels_match_pairwise_enumeration(corridor2, flat3):
     assert joint_complete(joint) and len(joint_levels(joint)) == 9
     assert sum(c.time > t for t, pairs in joint_levels(joint).items()
                for pair in pairs for c in pair) == 4
+
+
+def test_ride_rule_drops_only_the_pairs_without_compatible_rides(corridor2):
+    # at costs 5 and 6 agent 0 boards at t=1 or 2 and agent 1 at t=3 or 4;
+    # only boardings at 1 and 4 are clear of each other's busy windows
+    inst = parse_scenario("1 0 0 2 3 0\n1 4 0 2 0 0\n", corridor2)
+    ai, aj = inst.agents
+    cs = ConstraintSet()
+    ruled, plain = (joint_levels_by_enumeration(ai, aj, corridor2, cs, cs, 5, 6, ride_rule=rule)
+                    for rule in (True, False))
+    assert [sum(map(len, levels.values())) for levels in (ruled, plain)] == [10, 15]
+    joint = build_joint(build_mdd_e(ai, 5, cs, corridor2), build_mdd_e(aj, 6, cs, corridor2))
+    assert joint_complete(joint) and joint.cuts > 0
 
 
 def _as_state(comp, t):
@@ -273,13 +289,53 @@ def test_size_cap_falls_back_to_cardinal(monkeypatch):
 
 
 def test_boarding_conflict_is_cardinal_when_one_elevator(corridor2):
-    from mapfe.elevator import detect_elevator_conflicts
     inst = parse_scenario("1 0 0 2 3 0\n1 4 0 2 0 0\n", corridor2)
     paths = [plan(a, corridor2, ConstraintSet()) for a in inst.agents]
     (c,) = detect_elevator_conflicts(paths, corridor2)
     node = _ct(paths, [ConstraintSet(), ConstraintSet()])
     label, _ = classify(c, *_diagrams(node, c, corridor2, inst.agents))
     assert label == CARDINAL
+
+
+def test_riders_whose_rides_all_overlap_have_an_empty_joint(corridor2):
+    # both agents ride the corridor's one elevator from floor 1; at cost 5
+    # agent 0 boards at t=1 or t=2 and agent 1 at t=3, inside either of
+    # agent 0's busy windows, so no pair of completions is ride-compatible
+    inst = parse_scenario("1 0 0 2 3 0\n1 4 0 2 0 0\n", corridor2)
+    paths = [plan(a, corridor2, ConstraintSet()) for a in inst.agents]
+    (c,) = detect_elevator_conflicts(paths, corridor2)
+    mdds = [build_mdd_e(a, 5, ConstraintSet(), corridor2) for a in inst.agents]
+    assert [len(m.levels[5]) for m in mdds] == [2, 1]  # one goal node per ride
+    assert not mdd_mod._unavoidable(mdds[0], _ban(c, 0))  # agent 0's side needs a search
+    assert build_joint(*mdds).levels == {}
+    joints: dict = {}
+    assert classify(c, *mdds, joints) == (CARDINAL, ())
+    (joint,) = joints.values()
+    assert joint.pairs == 0 and joint.cuts == 1
+    # without the cut a search would walk pairs up to level 2, none of
+    # which completes
+    (root,) = joint_roots(joint)
+    assert joint_vertex_pairs(joint, 2, elevator_aware=True)
+    assert not completes(joint, 0, root, {})
+
+
+def test_a_second_elevator_keeps_the_pair_and_its_bypass():
+    # the corridor doubled, one elevator per row: agent 1 rides elevator 1
+    # at t=1 and agent 0 at t=2, inside its window, but agent 0 can ride
+    # elevator 0 at t=1 for the same cost
+    g = parse_map("type mapf-e\nfloors 2\nheight 2\nwidth 3\ntfloor 1\n.E.\n.E.\n.E.\n.E.\n")
+    inst = parse_scenario("1 2 0 2 0 1\n1 2 1 2 2 1\n", g)
+    paths = [plan(a, g, ConstraintSet()) for a in inst.agents]
+    (c,) = detect_elevator_conflicts(paths, g)
+    assert (c.kind, c.elevator) == ("boarding", 1)
+    mdds = [build_mdd_e(a, p.cost, ConstraintSet(), g) for a, p in zip(inst.agents, paths)]
+    joints: dict = {}
+    label, found = classify(c, *mdds, joints)
+    (joint,) = joints.values()
+    assert joint.levels and joint.cuts > 0  # the cut drops pairs, not the root
+    assert label == SEMI_CARDINAL and [a for a, _ in found] == [0]
+    bypass = found[0][1]
+    assert bypass.cost == paths[0].cost and (Vertex(2, 1, 0), 2) in bypass.steps  # elevator 0
 
 
 def _parked_in_the_way():
@@ -543,7 +599,10 @@ def test_cache_returns_fresh_diagrams_one_object_per_distinct_diagram(instance, 
 def test_joint_successors_equal_the_reference_product_filter(instance, seed):
     """Every expanded pair's successors, at every level of the product of
     two agents' MDD-Es (costs up to 2 above optimal, random bans), equal
-    the filtered product of the reference transitions, order included."""
+    the filtered product of the reference transitions under the reference
+    ride rule, order included. The rule is sound: a root or successor
+    pair that the plain reference filter keeps and the joint drops has no
+    completion in the reference product without the rule."""
     rng = random.Random(seed)
     graph, agents = instance.graph, instance.agents
     base = {a: plan(a, graph, ConstraintSet()) for a in agents}
@@ -554,8 +613,15 @@ def test_joint_successors_equal_the_reference_product_filter(instance, seed):
                                     rng.choice(_banned_sets(rng, graph, x, 3)), graph)
                         for x in (a, b))
         joint = build_joint(mdd_a, mdd_b)
+        memo: dict = {}
+        for root in joint_roots(joint):
+            assert joint.levels.get(0) == [root] or not completes(joint, 0, root, memo)
         for t, pairs in joint_levels(joint).items():
             if t == joint.t_end:
                 continue
             for pair in pairs:
-                assert joint.successors(t, pair) == joint_successors(joint, t, pair, True), (t, pair)
+                kept = joint.successors(t, pair)
+                assert kept == joint_successors(joint, t, pair, True, ride_rule=True), (t, pair)
+                dropped = {succ for succ, _, _ in joint_successors(joint, t, pair, True)}
+                dropped.difference_update(succ for succ, _, _ in kept)
+                assert not any(completes(joint, t + 1, succ, memo) for succ in dropped), (t, pair)
