@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
-from .cbs import SolverConfig, solve
+from .cbs import SolverConfig, SolveStats, solve
 from .model import Agent, Elevator, FloorGrid, Instance, MultiFloorGraph, Vertex
 from .sipp import INF, GridIndex, cost_to_go
 
@@ -23,9 +23,11 @@ VARIANTS: dict[str, tuple[bool, bool]] = {
     "cbs+ec+mdde": (True, True),
 }
 
-CSV_HEADER = ("experiment,variant,N,floors,tfloor,seed,solved,soc,"
-              "runtime_ms,expanded,generated,mdde_time_fraction,status,lower_bound,"
-              "plan_time_ms,heuristic_time_ms,mdd_build_time_ms,ride_cuts")
+# A row is the run's own columns, then its `SolveStats.report()`
+CSV_HEADER = ",".join(["experiment", "variant", "N", "floors", "tfloor", "seed", "status", "soc"]
+                      + [name for name, _ in SolveStats().report()])
+
+MAX_SIZE = 1000  # the generator lists every cell of a size x size floor
 
 
 class GenerationError(RuntimeError):
@@ -49,6 +51,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.size <= 0 or self.elevators < 0 or self.instances <= 0:
             raise ValueError("counts must be positive")
+        if self.size > MAX_SIZE:
+            raise ValueError(f"size must be <= {MAX_SIZE}")
         if not (0 <= self.obstacle_rate < 1):
             raise ValueError("obstacle_rate must lie in [0, 1)")
         for name in self.variants:
@@ -100,18 +104,9 @@ class ResultRecord:
     floors: int
     tfloor: int
     seed: int
-    solved: bool
-    soc: int | None
-    runtime_ms: float
-    expanded: int
-    generated: int
-    mdde_time_fraction: float
     status: str  # solved | timeout | infeasible
-    lower_bound: int | None  # a timeout's least open g (`SolveStats.lower_bound`)
-    plan_time_ms: float  # `SolveStats.plan_time`
-    heuristic_time_ms: float  # `SolveStats.heuristic_time`
-    mdd_build_time_ms: float  # `SolveStats.mdd_build_time`
-    ride_cuts: int  # `SolveStats.ride_cuts`
+    soc: int | None
+    stats: SolveStats
 
 
 def gen_instance(cfg: ExperimentConfig, n_agents: int, seed: int,
@@ -148,7 +143,7 @@ def gen_instance(cfg: ExperimentConfig, n_agents: int, seed: int,
         )
         instance = Instance(graph, agents)
         index = GridIndex(graph)
-        if all(cost_to_go(a, graph, index).value(a.start, False) < INF for a in agents):
+        if all(cost_to_go(a, graph, index).value(a.start) < INF for a in agents):
             return instance
     raise GenerationError(f"no routable instance after {retries} attempts (seed {seed})")
 
@@ -171,20 +166,9 @@ def run_suite(cfg: ExperimentConfig) -> list[ResultRecord]:
                 ec, mdde = VARIANTS[variant]
                 result = solve(instance, SolverConfig(ec_enabled=ec, mdde_enabled=mdde,
                                                       time_limit=cfg.time_limit))
-                stats = result.stats
                 records.append(ResultRecord(
-                    experiment=cfg.experiment, variant=variant, n_agents=n_agents,
-                    floors=floors, tfloor=tfloor, seed=seed,
-                    solved=result.status == "solved",
-                    soc=result.solution.g if result.solution else None,
-                    runtime_ms=stats.runtime * 1000.0,
-                    expanded=stats.expanded, generated=stats.generated,
-                    mdde_time_fraction=stats.mdde_time_fraction,
-                    status=result.status, lower_bound=stats.lower_bound,
-                    plan_time_ms=stats.plan_time * 1000.0,
-                    heuristic_time_ms=stats.heuristic_time * 1000.0,
-                    mdd_build_time_ms=stats.mdd_build_time * 1000.0,
-                    ride_cuts=stats.ride_cuts))
+                    cfg.experiment, variant, n_agents, floors, tfloor, seed, result.status,
+                    result.solution.g if result.solution else None, result.stats))
     return records
 
 
@@ -192,15 +176,8 @@ def write_csv(records: Iterable[ResultRecord], out: TextIO) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     for r in records:
-        writer.writerow([
-            r.experiment, r.variant, r.n_agents, r.floors, r.tfloor, r.seed,
-            int(r.solved), "" if r.soc is None else r.soc,
-            f"{r.runtime_ms:.3f}", r.expanded, r.generated,
-            f"{r.mdde_time_fraction:.4f}", r.status,
-            "" if r.lower_bound is None else r.lower_bound,
-            f"{r.plan_time_ms:.3f}", f"{r.heuristic_time_ms:.3f}", f"{r.mdd_build_time_ms:.3f}",
-            r.ride_cuts,
-        ])
+        writer.writerow([r.experiment, r.variant, r.n_agents, r.floors, r.tfloor, r.seed, r.status,
+                         "" if r.soc is None else r.soc] + [text for _, text in r.stats.report()])
 
 
 def summarize(records: list[ResultRecord]) -> list[dict]:
@@ -211,8 +188,8 @@ def summarize(records: list[ResultRecord]) -> list[dict]:
         groups.setdefault((r.n_agents, r.floors, r.tfloor, r.variant), []).append(r)
     out = []
     for (n, floors, tfloor, variant), rows in sorted(groups.items()):
-        solved = [r for r in rows if r.solved]
-        exp = [r.expanded for r in solved]
+        solved = [r for r in rows if r.status == "solved"]
+        exp = [r.stats.expanded for r in solved]
         out.append({
             "N": n, "floors": floors, "tfloor": tfloor, "variant": variant,
             "runs": len(rows), "success_rate": len(solved) / len(rows),

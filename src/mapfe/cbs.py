@@ -57,7 +57,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import mdd as mdd_mod
 from .elevator import (ElevatorConflict, RideSummaries, detect_elevator_conflicts, ec_constraints,
@@ -180,6 +180,24 @@ class SolveStats:
     distance_fields: int = 0  # grid BFS fields the solve computed
     door_skips: int = 0  # door vertex conflicts selection passed over (`_dominated`)
     lower_bound: int | None = None  # the least open g when the time limit ends a solve
+
+    def report(self) -> list[tuple[str, str]]:
+        """Every field as (name, text), in declaration order: a field named
+        `*time` holds seconds and is written `<name>_ms` in milliseconds to
+        3 decimals, another float to 4 decimals, a bool 0/1, None empty, and
+        `branchings` as one `branchings_<kind>` per conflict kind."""
+        out = []
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if name == "branchings":
+                out += [(f"branchings_{kind}", str(value.get(kind, 0))) for kind in _KIND_RANK]
+            elif name.endswith("time"):
+                out.append((name + "_ms", f"{value * 1000.0:.3f}"))
+            elif isinstance(value, float):
+                out.append((name, f"{value:.4f}"))
+            else:
+                out.append((name, "" if value is None else str(int(value))))
+        return out
 
 
 @dataclass

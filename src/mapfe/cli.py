@@ -145,37 +145,25 @@ def _cmd_solve(args) -> int:
     config = SolverConfig(ec_enabled=args.ec == "on", mdde_enabled=args.mdde == "on",
                           time_limit=args.time_limit)
     result = solve(instance, config)
+    code = EXIT_OK
     if result.status == "timeout":
         print("timeout")
         print(f"lower_bound {result.stats.lower_bound}")
-        return EXIT_TIMEOUT
-    if result.status == "infeasible":
+        code = EXIT_TIMEOUT
+    elif result.status == "infeasible":
         print("infeasible")
-        return EXIT_INFEASIBLE
-    solution = result.solution
-    assert solution is not None
-    plan_text = format_plan(solution.paths)
-    print(f"soc {solution.g}")
-    print(plan_text, end="")
-    stats = result.stats
-    print(f"stats expanded={stats.expanded} generated={stats.generated} "
-          f"scans={stats.scans} peak_open={stats.peak_open} pair_hits={stats.pair_hits} "
-          f"runtime_ms={stats.runtime * 1000.0:.3f} "
-          f"plan_time_ms={stats.plan_time * 1000.0:.3f} "
-          f"heuristic_time_ms={stats.heuristic_time * 1000.0:.3f} "
-          f"mdde_time_fraction={stats.mdde_time_fraction:.4f} "
-          f"classify_calls={stats.classify_calls} label_hits={stats.label_hits} "
-          f"joint_pairs={stats.joint_pairs} ride_cuts={stats.ride_cuts} "
-          f"door_skips={stats.door_skips} "
-          f"plans={stats.plans} plan_reuses={stats.plan_reuses} "
-          f"mdd_build_time_ms={stats.mdd_build_time * 1000.0:.3f} mdd_derived={stats.mdd_derived} "
-          f"mdd_builds={stats.mdd_builds} mdd_shared={stats.mdd_shared} "
-          f"mdd_reuses={stats.mdd_reuses} "
-          f"distance_fields={stats.distance_fields}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(plan_text)
-    return EXIT_OK
+        code = EXIT_INFEASIBLE
+    else:
+        solution = result.solution
+        assert solution is not None
+        plan_text = format_plan(solution.paths)
+        print(f"soc {solution.g}")
+        print(plan_text, end="")
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(plan_text)
+    print("stats " + " ".join(f"{name}={text}" for name, text in result.stats.report()))
+    return code
 
 
 def _cmd_gen(args) -> int:

@@ -146,7 +146,7 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
     vertex_bans, edge_bans = constraints.vertex_bans, constraints.edge_bans
     start, goal = agent.start, agent.goal
     if (any(hi >= d for _, hi in vertex_bans.get(goal, ()))  # parking at the goal is blocked
-            or constraints.vertex_banned(start, 0) or heur.value(start, False) > d):
+            or constraints.vertex_banned(start, 0) or heur.value(start) > d):
         return MddE(agent, d, {}, {}, graph)
     intern = (nodes if nodes is not None else {}).setdefault
     root = MddENode(start, 0, -1, -1)
@@ -159,7 +159,7 @@ def build_mdd_e(agent: Agent, d: int, constraints: ConstraintSet,
     count = 1
     goal_floor = agent.goal_floor
     succ, rides = heur.succ, heur.rides
-    unboarded = heur.table(agent.start_floor, False)
+    unboarded = heur.table(agent.start_floor)
     for t in range(d):
         slack = d - (t + 1)  # the most cost-to-go a level-(t+1) node may have
         nxt_states = states[t + 1]

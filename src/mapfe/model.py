@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+MAX_T_FLOOR = 1000  # solvers keep one entry per time step of a path, rides included
+
+
 class MapError(ValueError):
     """Raised for malformed or inconsistent map text."""
 
@@ -51,8 +54,8 @@ class Elevator:
     t_floor: int
 
     def __post_init__(self) -> None:
-        if self.t_floor < 1:
-            raise MapError(f"elevator {self.id}: t_floor must be >= 1")
+        if not 1 <= self.t_floor <= MAX_T_FLOOR:
+            raise MapError(f"elevator {self.id}: t_floor must lie in [1, {MAX_T_FLOOR}]")
 
 
 @dataclass(frozen=True)

@@ -99,9 +99,6 @@ class ConstraintSet:
     def vertex_banned(self, v: Vertex, t: int) -> bool:
         return interval_contains(self.vertex_bans.get(v, ()), t)
 
-    def boarding_banned(self, elevator: int, floor: int, t: int) -> bool:
-        return interval_contains(self.boarding_bans.get((elevator, floor), ()), t)
-
     def ride_block(self, elevator: int, floor: int, visits: tuple[tuple[Vertex, int], ...],
                    dep: int) -> int | None:
         """None when a ride of `elevator` boarded on `floor` at dep breaks
@@ -261,20 +258,21 @@ class _Heuristic:
         self.horizon = (graph.num_free_vertices() + 1 + (graph.floors - 1)
                         * max([e.t_floor for e in graph.elevators] or [0]))
 
-    def table(self, floor: int, rode: bool) -> dict[Vertex, float]:
-        """Cost-to-go of the vertices of one floor in one ride state; a
-        vertex missing from it cannot reach the goal."""
+    def table(self, floor: int) -> dict[Vertex, float]:
+        """Cost-to-go of the vertices of one floor, unridden on the start
+        floor and ridden on the goal floor; a vertex missing from it cannot
+        reach the goal."""
         if floor == self.goal_floor:
             return self.post
-        if not rode and floor == self.start_floor:
+        if floor == self.start_floor:
             return self.pre
         return _NO_TABLE
 
-    def value(self, v: Vertex, rode: bool) -> float:
-        return self.table(v.floor, rode).get(v, INF)
+    def value(self, v: Vertex) -> float:
+        return self.table(v.floor).get(v, INF)
 
     def _moves(self, v: Vertex) -> tuple[tuple[Vertex, float], ...]:
-        table = self.table(v.floor, v.floor != self.start_floor)  # grid moves stay on v's floor
+        table = self.table(v.floor)  # grid moves stay on v's floor
         return tuple([(u, h) for u in self.index.moves.get(v, ())
                       if (h := table.get(u, INF)) < INF])
 
@@ -299,7 +297,7 @@ def plan(agent: Agent, graph: MultiFloorGraph, constraints: ConstraintSet,
     ride departs at the first time `ConstraintSet.ride_block` clears."""
     heur = heuristic if heuristic is not None else _Heuristic(agent, graph)
     start, goal = agent.start, agent.goal
-    h0 = heur.value(start, False)
+    h0 = heur.value(start)
     if h0 == INF or constraints.vertex_banned(start, 0):
         return None
     horizon = heur.horizon + constraints.max_end()

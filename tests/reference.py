@@ -47,10 +47,15 @@ def _goal_parking_ok(constraints: ConstraintSet, goal: Vertex, t: int) -> bool:
     return all(hi < t for _, hi in constraints.vertex_bans.get(goal, ()))
 
 
+def boarding_banned(constraints: ConstraintSet, elevator: int, floor: int, t: int) -> bool:
+    """A boarding of `elevator` from `floor` at t breaks a boarding ban."""
+    return any(lo <= t <= hi for lo, hi in constraints.boarding_bans.get((elevator, floor), ()))
+
+
 def _board_ok(constraints: ConstraintSet, graph: MultiFloorGraph, v: Vertex,
               target: Vertex, t: int) -> bool:
     e = graph.elevator_at(v)
-    if constraints.boarding_banned(e.id, v.floor, t):
+    if boarding_banned(constraints, e.id, v.floor, t):
         return False
     for door, when in ride_visits(graph, e.id, v.floor, target.floor, t):
         if constraints.vertex_banned(door, when):

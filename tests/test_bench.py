@@ -131,7 +131,7 @@ def test_run_suite_shapes_and_cost_sanity():
     for r in records:
         assert r.experiment == "exp1-mini"
         assert r.variant in VARIANTS
-        if r.solved:
+        if r.status == "solved":
             by_cell.setdefault((r.n_agents, r.seed), set()).add(r.soc)
     for cell, socs in by_cell.items():
         assert len(socs) == 1, cell  # all solving variants agree
@@ -151,20 +151,24 @@ def test_csv_schema_and_determinism():
         write_csv(run_suite(cfg), buf)
         outs.append(buf.getvalue())
     first, second = outs
-    assert first.splitlines()[0] == CSV_HEADER == (
-        "experiment,variant,N,floors,tfloor,seed,solved,soc,runtime_ms,expanded,"
-        "generated,mdde_time_fraction,status,lower_bound,plan_time_ms,heuristic_time_ms,"
-        "mdd_build_time_ms,ride_cuts")
-    # byte-identical apart from the wall-time-derived columns (a timeout's
-    # lower bound among them)
+    names = first.splitlines()[0].split(",")
+    assert names == CSV_HEADER.split(",") and len(set(names)) == len(names)
+    assert names[:8] == ["experiment", "variant", "N", "floors", "tfloor", "seed", "status", "soc"]
+    assert names[8:] == [name for name, _ in SolveStats().report()]
+
+    # identical apart from the wall-time-derived columns (a timeout's lower
+    # bound among them)
     def strip_time(text):
-        rows = [line.split(",") for line in text.splitlines()]
-        return [row[:8] + row[9:11] + row[12:13] + row[17:] for row in rows]
-    assert strip_time(first) == strip_time(second)
+        rows = [dict(zip(names, line.split(","), strict=True)) for line in text.splitlines()[1:]]
+        return [{name: value for name, value in row.items()
+                 if not name.endswith("_ms") and name not in ("mdde_time_fraction", "lower_bound")}
+                for row in rows]
+    rows = strip_time(first)
+    assert len(rows) == 8 and rows == strip_time(second)
     for row in first.splitlines()[1:]:
-        fields = row.split(",")
-        assert (fields[12] == "solved") == (fields[6] == "1")
-        assert (fields[13] != "") == (fields[12] == "timeout")
+        fields = dict(zip(names, row.split(",")))
+        assert (fields["status"] == "solved") == (fields["solved"] == "1")
+        assert (fields["lower_bound"] != "") == (fields["status"] == "timeout")
 
 
 def test_summarize_success_rates_and_expansions():

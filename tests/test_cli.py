@@ -1,5 +1,10 @@
+import csv
+import io
+
 import pytest
 
+from mapfe import cli as cli_mod
+from mapfe.bench import ResultRecord, write_csv
 from mapfe.cli import main
 
 from conftest import THREE_FLOOR_STRIP
@@ -25,20 +30,60 @@ def test_solve_prints_cost_paths_and_stats(golden_files, capsys):
     assert lines[0] == "soc 9"
     assert lines[1].startswith("agent 0: (1,0,0)@0")
     assert lines[2].startswith("agent 1: (3,0,0)@0")
-    assert lines[3].startswith("stats expanded=")
-    assert "mdd_builds=" in lines[3] and "mdd_reuses=" in lines[3]
+    assert len(lines) == 4
+    values = _stats(lines[3])
     # the conflict is a boarding clash both agents' MDD-Es commit to: cardinal
     # from the width-1 test alone, with no joint search
-    assert "classify_calls=1 label_hits=0 joint_pairs=0 " in lines[3]
+    assert [values[name] for name in ("classify_calls", "label_hits", "joint_pairs")] == ["1", "0", "0"]
+    assert values["branchings_boarding"] == "1" and values["bypasses"] == "0"
     # one field per goal, plus the door field of each agent's start floor
-    fields = lines[3].split()
-    assert fields[-2].startswith("mdd_reuses=") and fields[-1] == "distance_fields=4"
-    assert fields[-4].startswith("mdd_builds=") and fields[-3].startswith("mdd_shared=")
+    assert values["distance_fields"] == "4"
     # the heuristics are built inside the solve's clock, before any plan
-    names = [field.split("=")[0] for field in fields[1:]]
-    assert names[names.index("plan_time_ms") + 1] == "heuristic_time_ms"
-    values = dict(field.split("=") for field in fields[1:])
     assert 0 < float(values["heuristic_time_ms"]) <= float(values["runtime_ms"])
+    assert values["lower_bound"] == ""
+
+
+def _stats(line: str) -> dict[str, str]:
+    """A `stats` line's values by name, in line order."""
+    head, *fields = line.split(" ")
+    assert head == "stats"
+    return dict(field.split("=") for field in fields)
+
+
+def test_stats_line_and_bench_row_write_every_statistic_alike(golden_files, capsys, monkeypatch):
+    """`solve`'s stats line and a bench CSV row of the same solve agree
+    field by field, and the CSV keeps its old columns."""
+    real_solve, results = cli_mod.solve, []
+
+    def solve_and_keep(instance, config):
+        results.append(real_solve(instance, config))
+        return results[-1]
+
+    monkeypatch.setattr(cli_mod, "solve", solve_and_keep)
+    map_path, scen_path = golden_files
+    assert main(["solve", "--map", str(map_path), "--scen", str(scen_path)]) == 0
+    line = _stats(capsys.readouterr().out.splitlines()[-1])
+    (result,) = results
+    buf = io.StringIO()
+    write_csv([ResultRecord("toy", "cbs+ec+mdde", 2, 3, 1, 7, result.status, result.solution.g,
+                            result.stats)], buf)
+    header, row = csv.reader(io.StringIO(buf.getvalue()))
+    csv_row = dict(zip(header, row, strict=True))
+    s = result.stats
+    # the 18 columns the CSV wrote before it wrote every statistic, each
+    # with the value and unit it had then
+    kept = {"experiment": "toy", "variant": "cbs+ec+mdde", "N": "2", "floors": "3", "tfloor": "1",
+            "seed": "7", "solved": "1", "soc": "9", "runtime_ms": f"{s.runtime * 1000.0:.3f}",
+            "expanded": str(s.expanded), "generated": str(s.generated),
+            "mdde_time_fraction": f"{s.mdde_time_fraction:.4f}", "status": "solved",
+            "lower_bound": "", "plan_time_ms": f"{s.plan_time * 1000.0:.3f}",
+            "heuristic_time_ms": f"{s.heuristic_time * 1000.0:.3f}",
+            "mdd_build_time_ms": f"{s.mdd_build_time * 1000.0:.3f}", "ride_cuts": str(s.ride_cuts)}
+    assert len(kept) == 18 and {name: csv_row[name] for name in kept} == kept
+    for name in ("bypasses", "door_skips", "branchings_vertex", "branchings_edge",
+                 "branchings_boarding", "branchings_occupancy"):
+        assert name in line and name in csv_row
+    assert header[8:] == list(line) and all(csv_row[name] == line[name] for name in line)
 
 
 def test_joint_pairs_count_the_joint_search_and_read_0_without_mdde(tmp_path, capsys):
@@ -52,8 +97,7 @@ def test_joint_pairs_count_the_joint_search_and_read_0_without_mdde(tmp_path, ca
         capsys.readouterr()
         assert main(["solve", "--map", str(map_path), "--scen", str(scen_path),
                      "--mdde", mdde]) == 0
-        stats = capsys.readouterr().out.splitlines()[-1].split()
-        counts[mdde] = dict(field.split("=") for field in stats[1:])
+        counts[mdde] = _stats(capsys.readouterr().out.splitlines()[-1])
     assert int(counts["on"]["classify_calls"]) > 0 and int(counts["on"]["joint_pairs"]) > 0
     assert counts["off"]["classify_calls"] == counts["off"]["joint_pairs"] == "0"
     assert counts["off"]["ride_cuts"] == "0"
@@ -70,10 +114,8 @@ def test_children_are_scanned_only_when_they_reach_the_top(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", "--map", str(map_path), "--scen", str(scen_path),
                  "--ec", "on", "--mdde", "off"]) == 0
-    fields = capsys.readouterr().out.splitlines()[-1].split()
-    assert fields[1].startswith("expanded=") and fields[2].startswith("generated=")
-    assert fields[3].startswith("scans=") and fields[4].startswith("peak_open=")
-    stats = {name: int(value) for name, value in (f.split("=") for f in fields[1:5])}
+    values = _stats(capsys.readouterr().out.splitlines()[-1])
+    stats = {name: int(values[name]) for name in ("generated", "scans", "peak_open")}
     assert 0 < stats["scans"] < stats["generated"]
     assert 0 < stats["peak_open"] <= stats["generated"]
 
@@ -202,7 +244,7 @@ def test_bench_subcommand_writes_csv(tmp_path, capsys):
                    "variants = cbs+ec\n")
     assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0].startswith("experiment,variant,N,floors,tfloor,seed,solved,soc")
+    assert lines[0].startswith("experiment,variant,N,floors,tfloor,seed,status,soc,expanded,")
     assert len(lines) == 2
     assert "N=2" in capsys.readouterr().out
 
@@ -217,9 +259,13 @@ def test_timeout_exit_code(tmp_path, capsys):
     assert code == 2
     # the swap has no solution, and its tree's least open g is at least
     # the root's 2
-    timeout, bound = capsys.readouterr().out.splitlines()
+    timeout, bound, stats = capsys.readouterr().out.splitlines()
     assert timeout == "timeout"
     assert bound.startswith("lower_bound ") and int(bound.split()[1]) >= 2
+    # the statistics follow, where the time went among them
+    values = _stats(stats)
+    assert values["lower_bound"] == bound.split()[1] and values["solved"] == "0"
+    assert float(values["runtime_ms"]) >= 200.0
 
 
 def test_infeasible_exit_code(tmp_path, capsys):
@@ -228,7 +274,8 @@ def test_infeasible_exit_code(tmp_path, capsys):
     map_path.write_text("type mapf-e\nfloors 1\nheight 1\nwidth 3\ntfloor 1\n.@.\n")
     scen_path.write_text("1 0 0 1 2 0\n")
     assert main(["solve", "--map", str(map_path), "--scen", str(scen_path)]) == 1
-    capsys.readouterr()
+    infeasible, stats = capsys.readouterr().out.splitlines()
+    assert infeasible == "infeasible" and _stats(stats)["expanded"] == "0"
     assert main(["oracle", "--map", str(map_path), "--scen", str(scen_path)]) == 1
 
 
@@ -254,6 +301,33 @@ def test_usage_errors_exit_3(capsys):
 def test_unreadable_input_is_invalid(tmp_path, capsys):
     missing = tmp_path / "nope.map"
     assert main(["solve", "--map", str(missing), "--scen", str(missing)]) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_huge_tfloor_is_an_error_without_a_traceback(tmp_path, capsys, command):
+    """A ride of 10^15 steps would make a path's timeline that long."""
+    t = 10 ** 15
+    files = {"map": f"type mapf-e\nfloors 2\nheight 1\nwidth 2\ntfloor {t}\nE.\nE.\n",
+             "scen": "1 1 0 2 1 0\n",
+             "plan": f"agent 0: (1,1,0)@0 (1,0,0)@1 (2,0,0)@{t + 1} (2,1,0)@{t + 2}\n"}
+    argv = [command]
+    for kind, text in files.items():
+        if command == "solve" and kind == "plan":
+            continue
+        (tmp_path / kind).write_text(text)
+        argv += [f"--{kind}", str(tmp_path / kind)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: elevator 0: t_floor must lie in [1, 1000]"
+
+
+def test_huge_bench_grid_is_an_error_without_a_traceback(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("size = 100000\nagents = 1\ninstances = 1\n")
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err.strip() == "error: size must be <= 1000"
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -41,6 +41,7 @@ from reference import (
     path_commits,
 )
 from test_incremental import multi_floor_instances
+from test_sipp import _ride_map
 
 
 def _vset(mdd, t):
@@ -605,23 +606,47 @@ def test_joint_successors_equal_the_reference_product_filter(instance, seed):
     completion in the reference product without the rule."""
     rng = random.Random(seed)
     graph, agents = instance.graph, instance.agents
-    base = {a: plan(a, graph, ConstraintSet()) for a in agents}
     for a, b in zip(agents, agents[1:]):
-        if base[a] is None or base[b] is None:
-            continue  # a goal is out of reach
-        mdd_a, mdd_b = (build_mdd_e(x, base[x].cost + rng.randint(0, 2),
-                                    rng.choice(_banned_sets(rng, graph, x, 3)), graph)
-                        for x in (a, b))
-        joint = build_joint(mdd_a, mdd_b)
-        memo: dict = {}
-        for root in joint_roots(joint):
-            assert joint.levels.get(0) == [root] or not completes(joint, 0, root, memo)
-        for t, pairs in joint_levels(joint).items():
-            if t == joint.t_end:
-                continue
-            for pair in pairs:
-                kept = joint.successors(t, pair)
-                assert kept == joint_successors(joint, t, pair, True, ride_rule=True), (t, pair)
-                dropped = {succ for succ, _, _ in joint_successors(joint, t, pair, True)}
-                dropped.difference_update(succ for succ, _, _ in kept)
-                assert not any(completes(joint, t + 1, succ, memo) for succ in dropped), (t, pair)
+        _check_joint_against_the_reference(rng, graph, a, b)
+
+
+def _check_joint_against_the_reference(rng, graph, a, b):
+    """The check above on one joint of a and b at random costs and bans;
+    the joint, or None when a goal is out of reach."""
+    base = {x: plan(x, graph, ConstraintSet()) for x in (a, b)}
+    if base[a] is None or base[b] is None:
+        return None
+    mdd_a, mdd_b = (build_mdd_e(x, base[x].cost + rng.randint(0, 2),
+                                rng.choice(_banned_sets(rng, graph, x, 3)), graph)
+                    for x in (a, b))
+    joint = build_joint(mdd_a, mdd_b)
+    memo: dict = {}
+    for root in joint_roots(joint):
+        assert joint.levels.get(0) == [root] or not completes(joint, 0, root, memo)
+    for t, pairs in joint_levels(joint).items():
+        if t == joint.t_end:
+            continue
+        for pair in pairs:
+            kept = joint.successors(t, pair)
+            assert kept == joint_successors(joint, t, pair, True, ride_rule=True), (t, pair)
+            dropped = {succ for succ, _, _ in joint_successors(joint, t, pair, True)}
+            dropped.difference_update(succ for succ, _, _ in kept)
+            assert not any(completes(joint, t + 1, succ, memo) for succ in dropped), (t, pair)
+    return joint
+
+
+def test_ride_cut_matches_the_reference_on_agents_that_share_their_floors():
+    """The check above where the cut has the most to drop: two agents that
+    ride from one start floor to one goal floor of a map with one or two
+    elevators. The cut is active on most of these joints."""
+    rng = random.Random(2323)
+    cut = 0
+    for _ in range(64):
+        graph = _ride_map(rng)
+        start_floor, goal_floor = rng.sample(range(1, graph.floors + 1), 2)
+        free = [v for v in graph.vertices() if graph.elevator_at(v) is None]
+        starts = rng.sample([v for v in free if v.floor == start_floor], 2)
+        goals = rng.sample([v for v in free if v.floor == goal_floor], 2)
+        a, b = (Agent(i, s, g) for i, (s, g) in enumerate(zip(starts, goals)))
+        cut += _check_joint_against_the_reference(rng, graph, a, b).cuts > 0
+    assert cut == 52  # joints of 64 on which the cut drops a root or a pair

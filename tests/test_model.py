@@ -55,6 +55,7 @@ def test_tfloor_override_per_elevator():
             ".EE.\n.EE.\n")
     g = parse_map(text)
     assert [e.t_floor for e in g.elevators] == [2, 5]
+    assert parse_map(text.replace("tfloor_k 1 5", "tfloor_k 1 1000")).elevators[1].t_floor == 1000
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -63,6 +64,8 @@ def test_tfloor_override_per_elevator():
     ("type mapf-e\nfloors 1\nheight 1\nwidth 3\ntfloor 1\n..\n", "grid"),
     ("type mapf-e\nfloors 2\nheight 1\nwidth 2\ntfloor 1\n.E\nE.\n", "mismatch"),
     ("type mapf-e\nfloors 1\nheight 1\nwidth 2\ntfloor 0\n.E\n", "t_floor"),
+    ("type mapf-e\nfloors 1\nheight 1\nwidth 2\ntfloor 1001\n.E\n", "t_floor"),
+    ("type mapf-e\nfloors 1\nheight 1\nwidth 2\ntfloor 1\ntfloor_k 0 1001\n.E\n", "t_floor"),
 ])
 def test_malformed_maps_rejected(text, msg):
     with pytest.raises(MapError, match=msg):

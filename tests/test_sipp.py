@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mapfe.model import Agent, Vertex, parse_map, parse_scenario, ride_visits
 from mapfe.sipp import ConstraintSet, GridIndex, Path, cost_to_go, merge_intervals, plan, safe_intervals
 
-from reference import _board_ok, time_expanded_plan
+from reference import _board_ok, boarding_banned, time_expanded_plan
 
 INF = math.inf
 
@@ -151,8 +151,7 @@ def test_successor_table_is_the_filtered_grid_moves():
         agent, g, _ = _random_case(rng)
         heur = cost_to_go(agent, g, GridIndex(g))
         for v in g.vertices():
-            # off a shaft, the agent has ridden exactly when it is off its start floor
-            table = heur.table(v.floor, v.floor != agent.start_floor)
+            table = heur.table(v.floor)
             expected = tuple((u, table[u]) for u in heur.index.moves[v] if u in table)
             assert heur.succ[v] == expected
             assert heur.succ[v] is heur.succ[v]  # filled once
@@ -173,7 +172,7 @@ def test_ride_table_holds_each_door_ride_to_the_goal_floor():
             visits = tuple(ride_visits(g, e.id, v.floor, agent.goal_floor, 0))
             assert ride.elevator == e.id and ride.visits == visits
             assert visits[-1][0] == g.door(e.id, agent.goal_floor)
-            assert ride.h_target == heur.value(visits[-1][0], True)
+            assert ride.h_target == heur.value(visits[-1][0])
             doors += 1
     assert doors > 10
 
@@ -280,7 +279,7 @@ def test_ride_block_clears_exactly_the_departures_the_reference_allows():
             assert bumped > dep
             assert not any(_board_ok(cs, g, door, target, t) for t in range(dep, bumped))
             seen["bumps"] += bumped - dep > 1
-            seen["boarding"] += cs.boarding_banned(e.id, floor, dep)
+            seen["boarding"] += boarding_banned(cs, e.id, floor, dep)
             seen["target"] += cs.vertex_banned(target, dep + visits[-1][1])
             seen["inner"] += any(cs.vertex_banned(v, dep + offset) for v, offset in visits[:-1])
     assert min(seen.values()) > 20, seen
@@ -297,7 +296,7 @@ def _assert_respects(path: Path, g, cs: ConstraintSet) -> None:
             prev_idx = path.steps.index((v, tv))
             boarded = prev_idx == 0 or path.steps[prev_idx - 1][0].floor == v.floor
             if boarded:
-                assert not cs.boarding_banned(e.id, v.floor, tv)
+                assert not boarding_banned(cs, e.id, v.floor, tv)
     # parking: no ban at the goal from the arrival onward
     goal, arrival = path.steps[-1]
     for lo, hi in cs.vertex_bans.get(goal, ()):
