@@ -28,6 +28,7 @@ CSV_HEADER = ",".join(["experiment", "variant", "N", "floors", "tfloor", "seed",
                       + [name for name, _ in SolveStats().report()])
 
 MAX_SIZE = 1000  # the generator lists every cell of a size x size floor
+MAX_CELLS = 2 * MAX_SIZE * MAX_SIZE  # and every cell of every floor, floors x size x size
 
 
 class GenerationError(RuntimeError):
@@ -62,6 +63,9 @@ class ExperimentConfig:
             value = getattr(self, key)
             if any(v < 1 for v in (value if isinstance(value, list) else [value])):
                 raise ValueError(f"{key} must be >= 1")
+        floors = self.floors if isinstance(self.floors, list) else [self.floors]
+        if max(floors) * self.size * self.size > MAX_CELLS:
+            raise ValueError(f"floors x size x size must be <= {MAX_CELLS}")
         lists = [k for k in ("floors", "tfloor", "agents") if isinstance(getattr(self, k), list)]
         if len(lists) > 1:
             raise ValueError(f"only one axis may vary, got {lists}")

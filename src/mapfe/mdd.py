@@ -21,13 +21,14 @@ the conflict is the `ConstraintSet` ban of its CT child in a plain split
 any conflict with `sides()` is classified by this code. It first asks each agent's own
 MDD-E whether every cost-d path breaks that agent's ban (`_unavoidable`,
 the ICBS width-1 test widened to elevator conflicts); only the other
-sides are searched in the joint product, which expands pairs on demand,
-each side's transitions from a component computed once per joint and the
-pair tests run inline. The search is depth-first and stops at the first
-complete pair path in successor order, the path a breadth-first search
-would return, having expanded only the pairs it walked through. A search
-that reaches the last level is that agent's bypass, so `classify` returns
-the label and the bypasses of one search together.
+sides are searched in the joint product, which expands pairs on demand
+with the pair tests inline; a pair is two diagram nodes, and where each
+side stands at t and t+1 is read off them. The search is depth-first and
+stops at the first complete pair path in successor order, the path a
+breadth-first search would return, having expanded only the pairs it
+walked through. A search that reaches the last level is that agent's
+bypass, so `classify` returns the label and the bypasses of one search
+together.
 
 When both agents change floor, the product also drops each pair that has
 no ride-compatible pair of completions: a side not yet boarded, and
@@ -351,13 +352,11 @@ def _vertex_at(node: MddENode, t: int) -> Vertex | None:
     return node.vertex if node.time <= t else None
 
 
-class _Trans(NamedTuple):
-    """One side's unit-time transition: endpoint vertices (None while in a
-    shaft) and, when this edge starts a ride, its boarding time."""
-
-    u: Vertex | None
-    w: Vertex | None
-    board_ts: int
+def _next(mdd: MddE, n: MddENode, t: int) -> tuple[MddENode, ...]:
+    """One side's components at level t+1 from component n at level t, in
+    successor order: n's MDD-E edges when n stands at t before the last
+    level, else n itself (riding on in the shaft, or parked at the goal)."""
+    return mdd.edges[n] if n.time == t < mdd.d else (n,)
 
 
 def _door_window_hit(mdd_x: MddE, comp_x: MddENode, mdd_y: MddE, comp_y: MddENode,
@@ -392,11 +391,10 @@ class JointMddE:
     Pairs are expanded on demand: `successors` computes one pair's
     successors and keeps them, so the depth-first bypass searches of both
     sides, and of every conflict of the two agents in one CT node, expand
-    each pair once. Each side's transitions from a component at a level
-    are computed once per joint (`moves`). `levels` holds only the root
-    level, empty when the roots clash, a diagram is empty or the root has
-    no ride-compatible completion. `pairs` counts the expanded pairs; past
-    `NODE_CAP` every search of this joint raises `MddSizeExceeded`.
+    each pair once. `levels` holds only the root level, empty when the
+    roots clash, a diagram is empty or the root has no ride-compatible
+    completion. `pairs` counts the expanded pairs; past `NODE_CAP` every
+    search of this joint raises `MddSizeExceeded`.
     `compat` holds, for each ride of a by bit, the mask of b's rides it
     can pair with, and is None when the cut cannot drop a pair;
     `compatible` memoises their union by a's mask, and `cuts` counts the
@@ -406,50 +404,50 @@ class JointMddE:
     mdd_b: MddE
     t_end: int
     levels: dict[int, list[tuple[MddENode, MddENode]]]
-    adj: dict[tuple[int, tuple], list[tuple[tuple, _Trans, _Trans]]]
+    adj: dict[tuple[int, tuple], list[tuple[MddENode, MddENode]]]
     pairs: int = 0
-    moves: tuple[dict, dict] = field(default_factory=lambda: ({}, {}), repr=False)
     compat: list[int] | None = field(default=None, repr=False)
     open_b: dict[int, int] = field(default_factory=dict, repr=False)
     cuts: int = 0
 
-    def successors(self, t: int, pair: tuple) -> list[tuple[tuple, _Trans, _Trans]]:
-        """Conflict-free successors of a level-t pair with both sides'
-        transitions, in `itertools.product` order over the two sides'
-        `transitions`, less those the ride cut drops. A transition's
-        endpoint is where its side stands at t+1, so the vertex test
-        compares endpoints; the elevator tests run only when a side has
-        boarded, and the cut only when one has not."""
+    def successors(self, t: int, pair: tuple) -> list[tuple[MddENode, MddENode]]:
+        """Conflict-free successors of a level-t pair, node pairs in the
+        product order of the two sides' `_next`, less those the ride cut
+        drops. A side stands at t+1 where its successor puts it
+        (`_vertex_at`), so the vertex test compares those; the elevator
+        tests run only when a side has boarded, and the cut only when one
+        has not."""
         key = (t, pair)
         out = self.adj.get(key)
         if out is None:
             self.pairs += 1
             self.check_cap()
+            mdd_a, mdd_b = self.mdd_a, self.mdd_b
             ca, cb = pair
+            ua, ub = _vertex_at(ca, t), _vertex_at(cb, t)
             out = self.adj[key] = []
-            moves_b = self.transitions(1, cb, t)
+            next_b = [(sb, _vertex_at(sb, t + 1)) for sb in _next(mdd_b, cb, t)]
             cut = self.compat is not None
             if cut:
-                masks_a, masks_b = self.mdd_a.ride_masks(), self.mdd_b.ride_masks()
-            for sa, tra in self.transitions(0, ca, t):
-                ua, wa, _ = tra
+                masks_a, masks_b = mdd_a.ride_masks(), mdd_b.ride_masks()
+            for sa in _next(mdd_a, ca, t):
+                wa = _vertex_at(sa, t + 1)
                 moving = ua is not None and wa is not None and ua != wa
                 if cut:
                     open_b = self.compatible(masks_a[sa])
-                for sb, trb in moves_b:
-                    wb = trb.w
+                for sb, wb in next_b:
                     if wa is not None and wa == wb:
                         continue  # vertex conflict at t+1
-                    if moving and ua == wb and wa == trb.u:
+                    if moving and ua == wb and wa == ub:
                         continue  # swap
                     if (sa.elevator != -1 or sb.elevator != -1) and _ride_conflicts(
-                            self.mdd_a, self.mdd_b, ca, cb, sa, sb, tra, trb, t):
+                            mdd_a, mdd_b, ca, cb, sa, sb, t):
                         continue
                     if cut and (sa.elevator == -1 or sb.elevator == -1) and not (
                             open_b & masks_b[sb]):
                         self.cuts += 1
                         continue
-                    out.append(((sa, sb), tra, trb))
+                    out.append((sa, sb))
         return out
 
     def compatible(self, mask_a: int) -> int:
@@ -462,30 +460,6 @@ class JointMddE:
                 if mask_a >> i & 1:
                     out |= row
             self.open_b[mask_a] = out
-        return out
-
-    def transitions(self, side: int, n: MddENode, t: int) -> list[tuple[MddENode, _Trans]]:
-        """One side's unit-time transitions from component n at level t, in
-        successor order: riding on in the shaft, parked at the goal, or
-        along each MDD-E edge."""
-        key = (n, t)
-        out = self.moves[side].get(key)
-        if out is None:
-            mdd = self.mdd_b if side else self.mdd_a
-            v = n.vertex
-            if n.time > t:  # in the shaft
-                out = [(n, _Trans(None, _vertex_at(n, t + 1), -1))]
-            elif n.time < t or n.time == mdd.d:
-                out = [(n, _Trans(v, v, -1))]  # parked at the goal
-            else:
-                out = []
-                for m in mdd.edges.get(n, ()):
-                    if m.vertex.floor == v.floor:
-                        out.append((m, _Trans(v, m.vertex, -1)))
-                    else:
-                        board_ts = m.board_time if n.elevator == -1 else -1
-                        out.append((m, _Trans(v, _vertex_at(m, t + 1), board_ts)))
-            self.moves[side][key] = out
         return out
 
     def check_cap(self) -> None:
@@ -518,7 +492,7 @@ def build_joint(mdd_a: MddE, mdd_b: MddE) -> JointMddE:
     return joint
 
 
-def _ride_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra: _Trans, trb: _Trans, t: int) -> bool:
+def _ride_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, t: int) -> bool:
     """The elevator half of the pair test, for a successor pair (sa, sb) of
     (ca, cb) with a boarded side: a shared elevator's busy windows overlap,
     or a side stands at a door of the other's elevator inside its window."""
@@ -529,9 +503,9 @@ def _ride_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra: _Trans, trb: _Trans, t: i
         return True
     # the instant a ride starts, the other agent must not stand at any door
     # of that elevator (the window opens at the boarding time itself)
-    if tra.board_ts != -1 and _door_window_hit(mdd_a, sa, mdd_b, cb, t):
+    if sa.board_time == t and _door_window_hit(mdd_a, sa, mdd_b, cb, t):
         return True
-    if trb.board_ts != -1 and _door_window_hit(mdd_b, sb, mdd_a, ca, t):
+    if sb.board_time == t and _door_window_hit(mdd_b, sb, mdd_a, ca, t):
         return True
     return False
 
@@ -542,7 +516,7 @@ def _ride_conflicts(mdd_a, mdd_b, ca, cb, sa, sb, tra: _Trans, trb: _Trans, t: i
 
 def _breaks(ban: tuple, mdd: MddE, comp: MddENode, prev: Vertex | None, t: int) -> bool:
     """Does a side at component comp at level t, come from vertex prev
-    (its transition's `u`: None inside a shaft or at the root), break the
+    (where it stood at t-1: None inside a shaft or at the root), break the
     `ConstraintSet` ban: stand on a banned vertex, take a banned edge, or
     carry a ride boarded inside a banned window? (A ride boards at the
     agent's start floor.)"""
@@ -617,11 +591,12 @@ def _bypass_comps(joint: JointMddE, agent_id: int, ban: tuple) -> list | None:
     seen: set[tuple[int, tuple]] = set()
     while stack:
         t = len(path)
-        for succ, tra, trb in stack[-1]:
+        prev = _vertex_at(path[-1][side], t - 1)
+        for succ in stack[-1]:
             key = (t, succ)
             if key in seen:
                 continue
-            if _breaks(ban, mdd, succ[side], (tra if side == 0 else trb).u, t):
+            if _breaks(ban, mdd, succ[side], prev, t):
                 continue
             if t == t_end:
                 return [pair[side] for pair in path] + [succ[side]]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from typing import NamedTuple
 
 from mapfe.model import Agent, MultiFloorGraph, Vertex, ride_visits
 from mapfe.sipp import ConstraintSet
@@ -432,11 +433,12 @@ def bypass_comps_breadth_first(joint, agent_id: int, ban: tuple) -> list | None:
     for t in range(joint.t_end):
         nxt = []
         for pair in frontier:
-            for succ, tra, trb in joint.successors(t, pair):
+            prev = mdd_mod._vertex_at(pair[side], t)
+            for succ in joint.successors(t, pair):
                 key = (t + 1, succ)
                 if key in parent:
                     continue
-                if mdd_mod._breaks(ban, mdd, succ[side], (tra if side == 0 else trb).u, t + 1):
+                if mdd_mod._breaks(ban, mdd, succ[side], prev, t + 1):
                     continue
                 parent[key] = (t, pair)
                 nxt.append(succ)
@@ -453,24 +455,34 @@ def bypass_comps_breadth_first(joint, agent_id: int, ban: tuple) -> list | None:
     return comps
 
 
+class Trans(NamedTuple):
+    """One side's unit-time transition in the reference product: endpoint
+    vertices (None while in a shaft) and, when this edge starts a ride,
+    its boarding time (else -1)."""
+
+    u: Vertex | None
+    w: Vertex | None
+    board_ts: int
+
+
 def comp_succs(mdd, n, t: int) -> list:
     """One side's unit-time transitions from a joint component at level t,
-    as the solver's joint product computed them before its successor loop
-    was inlined: riding on in the shaft, parked at the goal, or along each
-    MDD-E edge, as (successor, `mdd._Trans`)."""
-    from mapfe.mdd import _Trans, _vertex_at
+    derived case by case, apart from the solver's joint product (which
+    reads where a side stands off the nodes): riding on in the shaft,
+    parked at the goal, or along each MDD-E edge, as (successor, `Trans`)."""
+    from mapfe.mdd import _vertex_at
 
     if n.time > t:  # in the shaft
-        return [(n, _Trans(None, _vertex_at(n, t + 1), -1))]
+        return [(n, Trans(None, _vertex_at(n, t + 1), -1))]
     if n.time < t or n.time == mdd.d:
-        return [(n, _Trans(n.vertex, n.vertex, -1))]  # parked at the goal
+        return [(n, Trans(n.vertex, n.vertex, -1))]  # parked at the goal
     out = []
     for m in mdd.edges.get(n, ()):
         if m.vertex.floor == n.vertex.floor:
-            out.append((m, _Trans(n.vertex, m.vertex, -1)))
+            out.append((m, Trans(n.vertex, m.vertex, -1)))
         else:
             board_ts = m.board_time if n.elevator == -1 else -1
-            out.append((m, _Trans(n.vertex, _vertex_at(m, t + 1), board_ts)))
+            out.append((m, Trans(n.vertex, _vertex_at(m, t + 1), board_ts)))
     return out
 
 
@@ -593,7 +605,7 @@ def joint_levels(joint) -> dict[int, list[tuple]]:
     for t in range(joint.t_end):
         if t not in levels:
             break
-        nxt = {succ: None for pair in levels[t] for succ, _, _ in joint.successors(t, pair)}
+        nxt = {succ: None for pair in levels[t] for succ in joint.successors(t, pair)}
         if nxt:
             levels[t + 1] = sorted(nxt)
     return levels

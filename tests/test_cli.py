@@ -4,7 +4,7 @@ import io
 import pytest
 
 from mapfe import cli as cli_mod
-from mapfe.bench import ResultRecord, write_csv
+from mapfe.bench import MAX_CELLS, ResultRecord, parse_config, write_csv
 from mapfe.cli import main
 
 from conftest import THREE_FLOOR_STRIP
@@ -328,6 +328,25 @@ def test_huge_bench_grid_is_an_error_without_a_traceback(tmp_path, capsys):
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err.strip() == "error: size must be <= 1000"
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_bench_floor_count_is_bounded_by_the_cell_budget():
+    # the generator lists every cell of every floor; a 1000 x 1000 grid on
+    # two floors, the largest accepted before floors were bounded, still fits
+    for floors in ("100000000", "2,100000000", str(MAX_CELLS // 64 + 1)):
+        with pytest.raises(ValueError, match=f"floors x size x size must be <= {MAX_CELLS}"):
+            parse_config(f"size = 8\nagents = 1\nfloors = {floors}\n")
+    for size, floors in ((1000, 2), (8, MAX_CELLS // 64)):
+        assert parse_config(f"size = {size}\nagents = 1\nfloors = {floors}\n").floors == floors
+
+
+def test_huge_gen_floor_count_is_an_error_without_a_traceback(tmp_path, capsys):
+    code = main(["gen", "--floors", "100000000", "--out-map", str(tmp_path / "g.map"),
+                 "--out-scen", str(tmp_path / "g.scen")])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == \
+        f"error: floors x size x size must be <= {MAX_CELLS}"
+    assert not (tmp_path / "g.map").exists()
 
 
 @pytest.mark.parametrize("flags, message", [

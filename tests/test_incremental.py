@@ -335,11 +335,25 @@ def test_search_counters_are_pinned_on_c7_seeds(n, seed):
     _check_pinned(cfg, n, seed, PINNED[(n, seed)])
 
 
+TOWER = ExperimentConfig(size=6, obstacle_rate=0.1, floors=4, elevators=2,
+                         tfloor=2, agents=[4], instances=1)
+
+
 @pytest.mark.parametrize("seed", sorted(PINNED_TOWER))
 def test_search_counters_are_pinned_on_tower_seeds(seed):
-    cfg = ExperimentConfig(size=6, obstacle_rate=0.1, floors=4, elevators=2,
-                           tfloor=2, agents=[4], instances=1)
-    _check_pinned(cfg, 4, seed, PINNED_TOWER[seed])
+    _check_pinned(TOWER, 4, seed, PINNED_TOWER[seed])
+
+
+@pytest.mark.parametrize("ec, expected", [(False, (91, 34, 1258, 811)), (True, (27, 9, 540, 3))])
+def test_joint_counters_are_pinned_on_a_tower_seed(ec, expected):
+    # tower seed 779_020 with MDD-E on: (classify_calls, label_hits,
+    # joint_pairs, ride_cuts); a change to which joint pairs the bypass
+    # searches expand moves joint_pairs even when the search counters stay
+    result = solve(gen_instance(TOWER, 4, seed=779_020),
+                   SolverConfig(ec_enabled=ec, mdde_enabled=True, time_limit=60))
+    s = result.stats
+    assert result.status == "solved"
+    assert (s.classify_calls, s.label_hits, s.joint_pairs, s.ride_cuts) == expected
 
 
 def test_solver_builds_one_heuristic_per_agent(monkeypatch):
